@@ -25,7 +25,7 @@ fn inputs() -> Vec<Vec<Vec<Event>>> {
             (0..3)
                 .map(|w| {
                     (0..2_000)
-                        .map(|i| Event::new(next(), w, (n * 1_000_000 + w * 10_000 + i) as u64))
+                        .map(|i| Event::new(next(), w, n * 1_000_000 + w * 10_000 + i))
                         .collect()
                 })
                 .collect()

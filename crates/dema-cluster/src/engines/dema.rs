@@ -37,7 +37,7 @@
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dema_core::event::{Event, NodeId, WindowId};
 use dema_core::gamma::AdaptiveGamma;
@@ -50,7 +50,7 @@ use dema_core::shared::SharedRun;
 use dema_core::slice::{cut_into_slices, Slice, SliceId, SliceSynopsis};
 use dema_core::sync::{rank, Mutex};
 use dema_core::DemaError;
-use dema_net::{MsgReceiver, MsgSender, NetError};
+use dema_net::{MsgSender, NetError};
 use dema_wire::Message;
 
 use super::retry::{self, ExpiryAction, Supervisor, END_KEY};
@@ -75,10 +75,6 @@ pub const PIPELINE_DEPTH: usize = 4;
 /// requests. Windows resolve within a round trip; this bound only guards
 /// against a stalled root.
 pub(crate) const STORE_WINDOW_CAP: usize = 64;
-
-/// How often the responder wakes from its receive to notice a torn-down
-/// link even when the root has gone silent.
-const RESPONDER_POLL: Duration = Duration::from_millis(25);
 
 /// State shared between a Dema local's main loop and its responder.
 #[derive(Debug)]
@@ -1079,8 +1075,23 @@ fn collect_payload(
         .collect()
 }
 
-/// Dema's responder: serves candidate requests (and, on resilient runs,
-/// candidate retries and `ResendWindow` NACKs) plus γ updates until the
+/// Outcome of one [`responder_step`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ResponderStatus {
+    /// Keep serving control messages.
+    Continue,
+    /// Retire the responder cleanly: the root's `DrainComplete` was
+    /// answered, or (resilient run) the uplink is gone and the node is
+    /// dead to the root, which liveness accounting covers.
+    Stop,
+}
+
+/// Dema's responder: handle one control message from the root — a
+/// candidate request (and, on resilient runs, a candidate retry or a
+/// `ResendWindow` NACK), a γ update, or a membership notice. The reactor's
+/// `ResponderRole` and the deterministic scheduler in `dema-model` both
+/// drive the responder one delivery at a time through this function; the
+/// caller retires the responder on [`ResponderStatus::Stop`] or when the
 /// root closes the control link.
 ///
 /// Seed runs serve each window destructively — the store entry is removed
@@ -1088,40 +1099,6 @@ fn collect_payload(
 /// runs keep served windows (a retry must be idempotent) and treat an
 /// unknown window as already-evicted: no reply, the root's retry budget
 /// decides.
-pub fn run_responder(
-    node: NodeId,
-    from_root: &mut dyn MsgReceiver,
-    to_root: &mut dyn MsgSender,
-    shared: &LocalShared,
-) -> Result<(), ClusterError> {
-    loop {
-        let msg = match from_root.recv_timeout(RESPONDER_POLL) {
-            Ok(Some(m)) => m,
-            Ok(None) => continue,
-            Err(NetError::Disconnected) => return Ok(()), // root finished
-            Err(e) => return Err(e.into()),
-        };
-        match responder_step(node, msg, to_root, shared)? {
-            ResponderStatus::Continue => {}
-            ResponderStatus::Stop => return Ok(()),
-        }
-    }
-}
-
-/// Outcome of one [`responder_step`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResponderStatus {
-    /// Keep serving control messages.
-    Continue,
-    /// Exit the responder loop cleanly (resilient run, uplink gone: the
-    /// node is dead to the root and liveness accounting covers it).
-    Stop,
-}
-
-/// Handle a single control message — one step of [`run_responder`],
-/// factored out so the deterministic scheduler in `dema-model` can drive
-/// the responder one delivery at a time with the same semantics as the
-/// threaded loop.
 // hot-path: responder-serve
 pub fn responder_step(
     node: NodeId,

@@ -1,16 +1,14 @@
 //! Reactor hosting for cluster roles (DESIGN.md §13).
 //!
-//! The threaded runner gave every node its own OS thread and its own
-//! blocking drive loop. This module re-expresses each node as a *role*: a
-//! passive protocol state machine behind the [`Stepper`] trait that turns
-//! reactor events (a message, a timer, a writability notice, a wake) into
-//! a list of [`Outbound`] effects. A [`RoleHost`] adapts one role to the
-//! [`dema_net::reactor::Handler`] contract — it owns the role's senders,
-//! applies its outbounds, re-registers writability interest when a
-//! nonblocking sender reports buffered bytes, and absorbs the role's
-//! errors so one node's death on a shared reactor shard behaves exactly
-//! like one thread's death did: its links drop (peers see `Disconnected`)
-//! and the rest of the shard keeps running.
+//! Every node runs as a *role*: a passive protocol state machine behind
+//! the [`Stepper`] trait that turns reactor events (a message, a timer, a
+//! writability notice, a wake) into a list of [`Outbound`] effects. A
+//! [`RoleHost`] adapts one role to the [`dema_net::reactor::Handler`]
+//! contract — it owns the role's senders, applies its outbounds,
+//! re-registers writability interest when a nonblocking sender reports
+//! buffered bytes, and absorbs the role's errors so one node's death on a
+//! shared reactor shard stays local: its links drop (peers see
+//! `Disconnected`) and the rest of the shard keeps running.
 //!
 //! Four roles cover the cluster:
 //!
@@ -18,12 +16,10 @@
 //!   `Wake` events (or pacing timers when `pace_window_ms` is set).
 //! * [`ResponderRole`] — serves the root's control messages from the
 //!   node's slice store via [`responder_step`], one message at a time.
-//! * [`RelayRole`] — forwards uplink traffic verbatim and routes
-//!   [`Message::Routed`] envelopes downward, mirroring
-//!   [`crate::relay::run_relay`].
+//! * [`RelayRole`](crate::relay::RelayRole) — forwards uplink traffic
+//!   verbatim and routes [`Message::Routed`] envelopes downward.
 //! * [`RootRole`] — wraps [`RootNode`]; retry/liveness deadlines become
-//!   reactor timers ([`RootNode::next_deadline`]) instead of a per-sweep
-//!   `tick` poll.
+//!   reactor timers ([`RootNode::next_deadline`]).
 
 use std::time::{Duration, Instant};
 
@@ -155,11 +151,10 @@ impl MsgSender for CaptureSender<'_> {
 /// senders with buffered bytes (re-registering writability interest until
 /// they drain), and absorbs role failures.
 ///
-/// Failure semantics mirror a node thread's death in the threaded runner:
-/// the first error is recorded, every sender is dropped (peers observe
-/// `Disconnected`), and the role stops receiving events — but the shard's
-/// other roles keep running. The runner collects recorded errors after the
-/// shard joins, with the same per-error forgiveness rules as before.
+/// On failure the first error is recorded, every sender is dropped (peers
+/// observe `Disconnected`), and the role stops receiving events — but the
+/// shard's other roles keep running. The runner collects recorded errors
+/// after the shard joins.
 pub struct RoleHost<R> {
     role: R,
     senders: Vec<Option<Box<dyn MsgSender>>>,
@@ -200,8 +195,7 @@ impl<R: Stepper> RoleHost<R> {
     }
 
     /// Retire the role after a failure: record the first error, drop every
-    /// link so peers see `Disconnected` (the thread-death equivalent), and
-    /// stop dispatching events to it.
+    /// link so peers see `Disconnected`, and stop dispatching events to it.
     fn fail(&mut self, e: ClusterError) {
         if self.error.is_none() {
             self.error = Some(e);
@@ -270,9 +264,8 @@ impl<R: Stepper> RoleHost<R> {
         Ok(())
     }
 
-    /// Once the role is done and nothing is buffered, release the links —
-    /// the reactor-world equivalent of the role's thread exiting and its
-    /// senders dropping, which is what cascades the cluster shutdown.
+    /// Once the role is done and nothing is buffered, release the links:
+    /// dropping the senders is what cascades the cluster shutdown.
     fn release_if_done(&mut self) {
         if self.role.done() && self.pending_count == 0 {
             for s in &mut self.senders {
@@ -328,8 +321,8 @@ impl<R: Stepper> Handler<ClusterError> for RoleHost<R> {
 pub const LOCAL_UPLINK: usize = 0;
 
 /// A local node hosted on a reactor: the [`LocalStepper`] pumped one
-/// window per `Wake`, with `pace_window_ms` re-expressed as reactor
-/// timers instead of thread sleeps.
+/// window per `Wake`, with `pace_window_ms` realized as reactor timers so
+/// a window that is not yet due never sleeps the shard.
 pub struct LocalRole<'a> {
     node: NodeId,
     stepper: LocalStepper<'a>,
@@ -339,8 +332,8 @@ pub struct LocalRole<'a> {
 }
 
 impl<'a> LocalRole<'a> {
-    /// Host `stepper` for `node`, stamping window closes into
-    /// `close_times` exactly where the threaded loop did.
+    /// Host `stepper` for `node`, stamping each window's close instant
+    /// into `close_times` as the window closes.
     pub fn new(
         node: NodeId,
         stepper: LocalStepper<'a>,
@@ -426,8 +419,7 @@ pub const RESPONDER_UPLINK: usize = 0;
 
 /// A Dema responder hosted on a reactor: serves the root's control
 /// messages from the node's shared slice store, one [`responder_step`]
-/// per delivery — the reactor analogue of
-/// [`crate::local::run_responder`]'s blocking loop.
+/// per delivery.
 pub struct ResponderRole<'a> {
     node: NodeId,
     shared: &'a LocalShared,
@@ -488,113 +480,6 @@ impl Stepper for ResponderRole<'_> {
 
     fn done(&self) -> bool {
         self.stopped
-    }
-}
-
-/// The relay role's first sender: the uplink to its parent. Child
-/// downlinks follow at `1..`.
-pub const RELAY_PARENT_UP: usize = 0;
-
-/// One downward route of a [`RelayRole`].
-pub struct RelayChildRoute {
-    /// Inclusive leaf-id range the child subtree covers.
-    pub range: (u32, u32),
-    /// The role's sender index for this child's downlink.
-    pub via: usize,
-    /// Leaf children receive the unwrapped control message; inner children
-    /// receive the [`Message::Routed`] envelope unchanged.
-    pub leaf: bool,
-}
-
-/// A relay node hosted on a reactor: sources `0..n_ups` are the child
-/// uplinks, source `n_ups` (when wired) is the parent's downlink. Same
-/// forwarding and shutdown-cascade semantics as [`crate::relay::run_relay`].
-pub struct RelayRole {
-    ups_open: Vec<bool>,
-    down_open: bool,
-    children: Vec<RelayChildRoute>,
-}
-
-impl RelayRole {
-    /// A relay with `n_ups` child uplinks and the given downward routes;
-    /// `has_down` is false for engines without a control plane.
-    pub fn new(n_ups: usize, children: Vec<RelayChildRoute>, has_down: bool) -> RelayRole {
-        RelayRole {
-            ups_open: vec![true; n_ups],
-            down_open: has_down,
-            children,
-        }
-    }
-}
-
-impl Stepper for RelayRole {
-    fn on_message(
-        &mut self,
-        link: usize,
-        msg: Message,
-        out: &mut Vec<Outbound>,
-    ) -> Result<(), ClusterError> {
-        if link < self.ups_open.len() {
-            // Upward traffic forwards verbatim — moved, never cloned.
-            out.push(Outbound::Send {
-                via: RELAY_PARENT_UP,
-                msg,
-            });
-            return Ok(());
-        }
-        match msg {
-            Message::Routed { dest, inner } => {
-                let child = self
-                    .children
-                    .iter()
-                    .find(|c| c.range.0 <= dest.0 && dest.0 <= c.range.1)
-                    .ok_or_else(|| {
-                        ClusterError::Protocol(format!(
-                            "relay: no child covers destination node {}",
-                            dest.0
-                        ))
-                    })?;
-                let msg = if child.leaf {
-                    *inner
-                } else {
-                    Message::Routed { dest, inner }
-                };
-                out.push(Outbound::Send {
-                    via: child.via,
-                    msg,
-                });
-                Ok(())
-            }
-            msg => Err(ClusterError::Protocol(format!(
-                "relay: unrouted downward message {msg:?}"
-            ))),
-        }
-    }
-
-    fn on_timer(&mut self, _token: u64, _out: &mut Vec<Outbound>) -> Result<(), ClusterError> {
-        Ok(())
-    }
-
-    fn on_disconnect(&mut self, link: usize, out: &mut Vec<Outbound>) -> Result<(), ClusterError> {
-        if link < self.ups_open.len() {
-            self.ups_open[link] = false;
-        } else {
-            // The root (or the relay above) is done: cascade the shutdown
-            // by closing our own downlinks so the tier below exits too.
-            self.down_open = false;
-            for c in &self.children {
-                out.push(Outbound::Close { via: c.via });
-            }
-        }
-        Ok(())
-    }
-
-    fn on_wake(&mut self, _out: &mut Vec<Outbound>) -> Result<(), ClusterError> {
-        Ok(())
-    }
-
-    fn done(&self) -> bool {
-        !self.down_open && self.ups_open.iter().all(|open| !open)
     }
 }
 
@@ -807,96 +692,6 @@ mod tests {
             Some(ClusterError::Protocol(msg)) if msg == "boom"
         ));
         assert!(matches!(rx.recv(), Err(NetError::Disconnected)));
-    }
-
-    /// The relay role forwards upward traffic by value and routes envelopes
-    /// downward with the leaf/inner unwrap rule of the threaded relay.
-    #[test]
-    fn relay_role_routes_like_the_threaded_relay() {
-        let mut relay = RelayRole::new(
-            1,
-            vec![
-                RelayChildRoute {
-                    range: (0, 0),
-                    via: 1,
-                    leaf: true,
-                },
-                RelayChildRoute {
-                    range: (1, 3),
-                    via: 2,
-                    leaf: false,
-                },
-            ],
-            true,
-        );
-        let mut out = Vec::new();
-        relay
-            .on_message(
-                0,
-                Message::StreamEnd {
-                    node: NodeId(0),
-                    late_events: 0,
-                },
-                &mut out,
-            )
-            .unwrap();
-        assert!(matches!(
-            out.pop(),
-            Some(Outbound::Send {
-                via: RELAY_PARENT_UP,
-                msg: Message::StreamEnd { .. }
-            })
-        ));
-        // Leaf child: unwrapped. Inner child: envelope kept.
-        relay
-            .on_message(
-                1,
-                Message::Routed {
-                    dest: NodeId(0),
-                    inner: Box::new(Message::GammaUpdate { gamma: 9 }),
-                },
-                &mut out,
-            )
-            .unwrap();
-        assert!(matches!(
-            out.pop(),
-            Some(Outbound::Send {
-                via: 1,
-                msg: Message::GammaUpdate { gamma: 9 }
-            })
-        ));
-        relay
-            .on_message(
-                1,
-                Message::Routed {
-                    dest: NodeId(2),
-                    inner: Box::new(Message::GammaUpdate { gamma: 5 }),
-                },
-                &mut out,
-            )
-            .unwrap();
-        assert!(matches!(
-            out.pop(),
-            Some(Outbound::Send {
-                via: 2,
-                msg: Message::Routed { .. }
-            })
-        ));
-        // Unrouted downward traffic is a protocol violation…
-        assert!(relay
-            .on_message(1, Message::GammaUpdate { gamma: 1 }, &mut out)
-            .is_err());
-        // …and the parent-down close cascades Close to every child.
-        relay.on_disconnect(1, &mut out).unwrap();
-        assert!(!relay.done(), "child uplink still open");
-        assert_eq!(
-            out.iter()
-                .filter(|o| matches!(o, Outbound::Close { .. }))
-                .count(),
-            2
-        );
-        relay.on_disconnect(0, &mut Vec::new()).unwrap();
-        assert!(relay.done());
     }
 
     /// Pacing through the reactor: a paced local arms a timer instead of

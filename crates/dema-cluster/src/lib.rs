@@ -4,8 +4,8 @@
 
 //! # dema-cluster
 //!
-//! The decentralized cluster runtime: local-node and root-node threads wired
-//! by accounted transports, executing one of six pluggable engines (see
+//! The decentralized cluster runtime: local, relay and root roles hosted on
+//! reactor shards and wired by accounted transports, executing one of six pluggable engines (see
 //! [`engines`]) over identical inputs:
 //!
 //! * **Dema** — the paper's contribution: local sort + slice, synopses to
@@ -29,8 +29,8 @@
 //! [`root`] and [`local`] and the wiring in [`runner`] are engine-agnostic.
 //!
 //! The runner consumes pre-generated per-window inputs (see `dema-gen`),
-//! runs one OS thread per node plus a responder thread per Dema local, and
-//! produces a [`report::RunReport`] with per-window results, latencies, and
+//! hosts each node's roles (a local, plus a responder for control-plane
+//! engines) on one of a few reactor shards ([`host`]), and produces a [`report::RunReport`] with per-window results, latencies, and
 //! exact per-link traffic. Nodes are wired either as a flat star or as a
 //! multi-level aggregation tree of relay nodes ([`config::Topology`]), with
 //! per-tier traffic attribution in [`report::TierTraffic`].

@@ -1,14 +1,16 @@
-//! The local-node shell: window pacing, watermarks, and close-time stamps.
+//! The local-node shell: the window stepper, watermark windowing, and the
+//! sent-message cache.
 //!
 //! A local node consumes its pre-grouped window inputs in order. Per window
 //! it invokes the engine's local duty (behind the
 //! [`crate::engines::LocalEngine`] trait — sort + slice + synopses for
 //! Dema, sort-and-ship for DecSort, ship-raw for the centralized engines,
 //! sketch for the distributed ones) and moves on — it never blocks on the
-//! root. Dema's calculation step is served by a small *responder* thread
+//! root. Dema's calculation step is served by a separate *responder* role
 //! that shares the node's slice store, so identification of window `w + 1`
 //! can overlap the calculation step of window `w`, exactly as in the paper
 //! ("the local nodes then proceed to process the next local windows").
+//! Both run as reactor roles (`crate::host`).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -26,7 +28,7 @@ use crate::engines::dema::STORE_WINDOW_CAP;
 use crate::engines::retry::END_KEY;
 use crate::ClusterError;
 
-pub use crate::engines::dema::{responder_step, run_responder, LocalShared, ResponderStatus};
+pub use crate::engines::dema::{responder_step, LocalShared, ResponderStatus};
 
 /// Wall-clock instants at which each `(node, window)` closed — the latency
 /// clock starts here.
@@ -69,41 +71,8 @@ impl MsgSender for SentCache<'_> {
     }
 }
 
-/// Run one local node's main loop over its window inputs.
-///
-/// With `pace_window_ms = Some(ms)`, window `i` closes no earlier than
-/// `i · ms` after the run started — emulating real-time tumbling windows so
-/// root feedback (γ updates) can influence later windows.
-pub fn run_local(
-    node: NodeId,
-    windows: Vec<Vec<Event>>,
-    engine: EngineKind,
-    to_root: &mut dyn MsgSender,
-    shared: &LocalShared,
-    close_times: &CloseTimes,
-    pace_window_ms: Option<u64>,
-) -> Result<(), ClusterError> {
-    let mut stepper = LocalStepper::new(node, windows, engine, shared);
-    let started = Instant::now();
-    while !stepper.is_done() {
-        if let Some(w) = stepper.next_window() {
-            if let Some(ms) = pace_window_ms {
-                let due = started + std::time::Duration::from_millis(ms * w);
-                let now = Instant::now();
-                if due > now {
-                    std::thread::sleep(due - now);
-                }
-            }
-            close_times.lock().insert((node.0, w), Instant::now());
-        }
-        stepper.step(to_root)?;
-    }
-    Ok(())
-}
-
 /// Drives one local node one window at a time — the single-step seam
-/// shared by the threaded loop ([`run_local`] is a thin driver around
-/// it), the reactor runtime's local role (`crate::host`), and the
+/// shared by the reactor runtime's local role (`crate::host`) and the
 /// deterministic interleaving explorer in `dema-model`. Each
 /// [`LocalStepper::step`] closes the next window through the engine's
 /// local duty with the same per-window sent-cache semantics everywhere,
@@ -241,49 +210,16 @@ impl<'a> LocalStepper<'a> {
     }
 }
 
-/// Event-time streaming local loop: windows are derived from raw event
-/// timestamps via a [`WindowManager`] and closed as the node's watermark
-/// (max seen event time minus `allowed_lateness_ms`) passes their end.
-/// Events behind the watermark are dropped and counted, per the paper's
-/// event-time processing model.
-///
-/// The node reports *every* window id in `window_range` (inclusive), sending
-/// empty reports for windows it saw no events in, so the root's
-/// all-locals-reported trigger fires for every global window.
-#[allow(clippy::too_many_arguments)]
-pub fn run_local_streaming(
-    node: NodeId,
-    events: Vec<Event>,
-    window_len: u64,
-    window_range: (u64, u64),
-    allowed_lateness_ms: u64,
-    engine: EngineKind,
-    to_root: &mut dyn MsgSender,
-    shared: &LocalShared,
-    close_times: &CloseTimes,
-) -> Result<(), ClusterError> {
-    let (windows, late) =
-        stream_windows(node, events, window_len, window_range, allowed_lateness_ms);
-    let mut stepper = LocalStepper::new(node, windows, engine, shared).with_late_events(late);
-    while !stepper.is_done() {
-        if let Some(w) = stepper.next_window() {
-            close_times.lock().insert((node.0, w), Instant::now());
-        }
-        stepper.step(to_root)?;
-    }
-    Ok(())
-}
-
 /// Derive the per-window event sets a streaming node reports: tumbling
 /// windows of `window_len` ms closed by the node's watermark (max event
 /// time − `allowed_lateness_ms`), normalized to 0-based ids covering all
 /// of `window_range` (inclusive — windows the node saw no events in are
 /// empty entries). Returns the windows plus the count of events dropped
-/// behind the watermark.
+/// behind the watermark, per the paper's event-time processing model.
 ///
-/// This is the windowing half of [`run_local_streaming`], split out so
-/// streaming work can ride the same [`LocalStepper`] as pre-windowed work
-/// (the reactor runtime hosts both through one role).
+/// The empty entries keep the root's all-locals-reported trigger firing
+/// for every global window. Streaming work then rides the same
+/// [`LocalStepper`] as pre-windowed work.
 pub fn stream_windows(
     node: NodeId,
     events: Vec<Event>,
@@ -359,22 +295,37 @@ mod tests {
         }
     }
 
+    /// Step a fresh [`LocalStepper`] over `windows` through `StreamEnd`
+    /// and return the number of steps that did work.
+    fn run_stepper(
+        node: NodeId,
+        windows: Vec<Vec<Event>>,
+        engine: EngineKind,
+        to_root: &mut dyn MsgSender,
+        shared: &LocalShared,
+    ) -> usize {
+        let mut stepper = LocalStepper::new(node, windows, engine, shared);
+        let mut steps = 0;
+        while stepper.step(to_root).unwrap() {
+            steps += 1;
+        }
+        assert!(stepper.is_done());
+        assert!(!stepper.step(to_root).unwrap(), "done stepper is inert");
+        steps
+    }
+
     #[test]
     fn dema_local_sends_synopses_and_stores_slices() {
         let counters = NetworkCounters::new_shared();
         let (mut tx, mut rx) = link(counters);
         let shared = LocalShared::new(4);
-        let close_times: CloseTimes = new_close_times();
-        run_local(
+        run_stepper(
             NodeId(1),
             vec![events(&[5, 1, 9, 3, 7, 2, 8, 4])],
             dema_engine(),
             &mut tx,
             &shared,
-            &close_times,
-            None,
-        )
-        .unwrap();
+        );
         match rx.recv().unwrap() {
             Message::SynopsisBatch {
                 node,
@@ -391,24 +342,19 @@ mod tests {
         }
         assert!(matches!(rx.recv().unwrap(), Message::StreamEnd { .. }));
         assert!(shared.store.lock().contains_key(&0));
-        assert!(close_times.lock().contains_key(&(1, 0)));
     }
 
     #[test]
     fn decsort_local_ships_sorted() {
         let (mut tx, mut rx) = link(NetworkCounters::new_shared());
         let shared = LocalShared::new(2);
-        let close_times: CloseTimes = new_close_times();
-        run_local(
+        run_stepper(
             NodeId(0),
             vec![events(&[3, 1, 2])],
             EngineKind::DecSort,
             &mut tx,
             &shared,
-            &close_times,
-            None,
-        )
-        .unwrap();
+        );
         match rx.recv().unwrap() {
             Message::EventBatch { sorted, events, .. } => {
                 assert!(sorted);
@@ -423,17 +369,13 @@ mod tests {
     fn centralized_local_ships_raw() {
         let (mut tx, mut rx) = link(NetworkCounters::new_shared());
         let shared = LocalShared::new(2);
-        let close_times: CloseTimes = new_close_times();
-        run_local(
+        run_stepper(
             NodeId(0),
             vec![events(&[3, 1, 2])],
             EngineKind::Centralized,
             &mut tx,
             &shared,
-            &close_times,
-            None,
-        )
-        .unwrap();
+        );
         match rx.recv().unwrap() {
             Message::EventBatch { sorted, events, .. } => {
                 assert!(!sorted);
@@ -447,18 +389,14 @@ mod tests {
     fn tdigest_local_ships_centroids() {
         let (mut tx, mut rx) = link(NetworkCounters::new_shared());
         let shared = LocalShared::new(2);
-        let close_times: CloseTimes = new_close_times();
         let vals: Vec<i64> = (0..1000).collect();
-        run_local(
+        run_stepper(
             NodeId(0),
             vec![events(&vals)],
             EngineKind::TdigestDistributed { compression: 50.0 },
             &mut tx,
             &shared,
-            &close_times,
-            None,
-        )
-        .unwrap();
+        );
         match rx.recv().unwrap() {
             Message::DigestBatch {
                 count, centroids, ..
@@ -475,18 +413,14 @@ mod tests {
     fn kll_local_ships_weighted_summary() {
         let (mut tx, mut rx) = link(NetworkCounters::new_shared());
         let shared = LocalShared::new(2);
-        let close_times: CloseTimes = new_close_times();
         let vals: Vec<i64> = (0..5000).collect();
-        run_local(
+        run_stepper(
             NodeId(0),
             vec![events(&vals)],
             EngineKind::KllDistributed { k: 128 },
             &mut tx,
             &shared,
-            &close_times,
-            None,
-        )
-        .unwrap();
+        );
         match rx.recv().unwrap() {
             Message::SketchBatch {
                 count,
@@ -508,74 +442,27 @@ mod tests {
     }
 
     #[test]
-    fn stepper_matches_run_local_message_for_message() {
-        let win = |seed: i64| events(&[seed, seed + 2, seed + 1, seed + 3]);
-        let windows = vec![win(10), win(20), win(30)];
-
-        let (mut tx_a, mut rx_a) = link(NetworkCounters::new_shared());
-        let shared_a = LocalShared::new(2);
-        let close_times: CloseTimes = new_close_times();
-        run_local(
-            NodeId(3),
-            windows.clone(),
-            dema_engine(),
-            &mut tx_a,
-            &shared_a,
-            &close_times,
-            None,
-        )
-        .unwrap();
-
-        let (mut tx_b, mut rx_b) = link(NetworkCounters::new_shared());
-        let shared_b = LocalShared::new(2);
-        let mut stepper = LocalStepper::new(NodeId(3), windows, dema_engine(), &shared_b);
-        let mut steps = 0;
-        while stepper.step(&mut tx_b).unwrap() {
-            steps += 1;
-        }
-        assert_eq!(steps, 4, "3 windows + StreamEnd");
-        assert!(stepper.is_done());
-        assert!(!stepper.step(&mut tx_b).unwrap(), "done stepper is inert");
-
-        drop(tx_a);
-        drop(tx_b);
-        loop {
-            match (rx_a.recv(), rx_b.recv()) {
-                (Ok(a), Ok(b)) => assert_eq!(a.to_bytes(), b.to_bytes()),
-                (Err(_), Err(_)) => break,
-                (a, b) => panic!("stream lengths differ: {a:?} vs {b:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn responder_serves_candidates_and_gamma() {
         let (mut data_tx, mut data_rx) = link(NetworkCounters::new_shared());
-        let (mut ctl_tx, mut ctl_rx) = link(NetworkCounters::new_shared());
         let shared = LocalShared::new(4);
-        let close_times: CloseTimes = new_close_times();
-        run_local(
+        run_stepper(
             NodeId(2),
             vec![events(&[5, 1, 9, 3, 7, 2, 8, 4])],
             dema_engine(),
             &mut data_tx,
             &shared,
-            &close_times,
-            None,
-        )
-        .unwrap();
+        );
 
-        let shared2 = Arc::clone(&shared);
-        let handle = std::thread::spawn(move || {
-            run_responder(NodeId(2), &mut ctl_rx, &mut data_tx, &shared2)
-        });
-        ctl_tx.send(&Message::GammaUpdate { gamma: 16 }).unwrap();
-        ctl_tx
-            .send(&Message::CandidateRequest {
+        for msg in [
+            Message::GammaUpdate { gamma: 16 },
+            Message::CandidateRequest {
                 window: WindowId(0),
                 slices: vec![1],
-            })
-            .unwrap();
+            },
+        ] {
+            let status = responder_step(NodeId(2), msg, &mut data_tx, &shared).unwrap();
+            assert_eq!(status, ResponderStatus::Continue);
+        }
 
         let _syn = data_rx.recv().unwrap();
         let _end = data_rx.recv().unwrap();
@@ -594,8 +481,6 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        drop(ctl_tx); // root done → responder exits cleanly
-        handle.join().unwrap().unwrap();
         assert_eq!(shared.gamma.load(Ordering::Relaxed), 16);
         assert!(shared.store.lock().is_empty(), "served window evicted");
     }
@@ -607,32 +492,22 @@ mod tests {
         // store holds (Arc::ptr_eq), not a copy of it.
         use dema_core::shared::SharedRun;
         let (mut data_tx, mut data_rx) = link(NetworkCounters::new_shared());
-        let (mut ctl_tx, mut ctl_rx) = link(NetworkCounters::new_shared());
         let shared = LocalShared::new(4);
-        let close_times: CloseTimes = new_close_times();
-        run_local(
+        run_stepper(
             NodeId(1),
             vec![events(&[5, 1, 9, 3, 7, 2, 8, 4])],
             dema_engine(),
             &mut data_tx,
             &shared,
-            &close_times,
-            None,
-        )
-        .unwrap();
+        );
         // Capture the stored run before the responder evicts the window.
         let stored_run = shared.store.lock()[&0][1].events.clone();
 
-        let shared2 = Arc::clone(&shared);
-        let handle = std::thread::spawn(move || {
-            run_responder(NodeId(1), &mut ctl_rx, &mut data_tx, &shared2)
-        });
-        ctl_tx
-            .send(&Message::CandidateRequest {
-                window: WindowId(0),
-                slices: vec![1],
-            })
-            .unwrap();
+        let request = Message::CandidateRequest {
+            window: WindowId(0),
+            slices: vec![1],
+        };
+        responder_step(NodeId(1), request, &mut data_tx, &shared).unwrap();
         let _syn = data_rx.recv().unwrap();
         let _end = data_rx.recv().unwrap();
         match data_rx.recv().unwrap() {
@@ -644,23 +519,17 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        drop(ctl_tx);
-        handle.join().unwrap().unwrap();
     }
 
     #[test]
     fn responder_rejects_unknown_window() {
         let (mut data_tx, _data_rx) = link(NetworkCounters::new_shared());
-        let (mut ctl_tx, mut ctl_rx) = link(NetworkCounters::new_shared());
         let shared = LocalShared::new(4);
-        ctl_tx
-            .send(&Message::CandidateRequest {
-                window: WindowId(7),
-                slices: vec![0],
-            })
-            .unwrap();
-        drop(ctl_tx);
-        let res = run_responder(NodeId(0), &mut ctl_rx, &mut data_tx, &shared);
+        let request = Message::CandidateRequest {
+            window: WindowId(7),
+            slices: vec![0],
+        };
+        let res = responder_step(NodeId(0), request, &mut data_tx, &shared);
         assert!(matches!(res, Err(ClusterError::Protocol(_))));
     }
 
@@ -668,18 +537,9 @@ mod tests {
     fn store_is_bounded() {
         let (mut tx, rx) = link(NetworkCounters::new_shared());
         let shared = LocalShared::new(2);
-        let close_times: CloseTimes = new_close_times();
         let windows: Vec<Vec<Event>> = (0..100).map(|_| events(&[1, 2])).collect();
-        run_local(
-            NodeId(0),
-            windows,
-            dema_engine(),
-            &mut tx,
-            &shared,
-            &close_times,
-            None,
-        )
-        .unwrap();
+        let steps = run_stepper(NodeId(0), windows, dema_engine(), &mut tx, &shared);
+        assert_eq!(steps, 101, "100 windows + StreamEnd");
         assert!(shared.store.lock().len() <= STORE_WINDOW_CAP);
         drop(rx);
     }
@@ -688,17 +548,7 @@ mod tests {
     fn empty_window_still_reports() {
         let (mut tx, mut rx) = link(NetworkCounters::new_shared());
         let shared = LocalShared::new(4);
-        let close_times: CloseTimes = new_close_times();
-        run_local(
-            NodeId(0),
-            vec![vec![]],
-            dema_engine(),
-            &mut tx,
-            &shared,
-            &close_times,
-            None,
-        )
-        .unwrap();
+        run_stepper(NodeId(0), vec![vec![]], dema_engine(), &mut tx, &shared);
         match rx.recv().unwrap() {
             Message::SynopsisBatch { synopses, .. } => assert!(synopses.is_empty()),
             other => panic!("{other:?}"),

@@ -7,8 +7,8 @@
 //! at window `w` means the joining nodes produce windows `≥ w` and the
 //! leaving nodes produce windows `< w`. Because the ledger is a pure
 //! function of the plan — not of message arrival order — every replica of
-//! the computation (threaded runner, reactor runtime, the deterministic
-//! explorer in `dema-model`) agrees on the member set of every window, which
+//! the computation (the reactor runtime, the deterministic explorer in
+//! `dema-model`) agrees on the member set of every window, which
 //! is what makes churn runs bit-reproducible across thread counts and
 //! transports (DESIGN.md §14).
 

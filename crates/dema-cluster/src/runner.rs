@@ -31,12 +31,10 @@ use dema_net::{MsgReceiver, MsgSender, NetError, SharedCounters};
 
 use crate::config::{ClusterConfig, EngineKind, Topology, TransportKind};
 use crate::engines::{self, ResilienceCtx};
-use crate::host::{
-    LocalRole, RelayChildRoute, RelayRole, ResponderRole, RoleHost, RootRole, Stepper,
-};
+use crate::host::{LocalRole, ResponderRole, RoleHost, RootRole, Stepper};
 use crate::local::{stream_windows, CloseTimes, LocalShared, LocalStepper};
 use crate::membership::EpochLedger;
-use crate::relay::{RelayChild, RoutedSender};
+use crate::relay::{RelayChildRoute, RelayRole, RoutedSender};
 use crate::report::{RunReport, TierTraffic};
 use crate::root::RootNode;
 use crate::ClusterError;
@@ -258,7 +256,8 @@ fn validate_membership(
     EpochLedger::from_plan(n_locals, &config.membership).map(Some)
 }
 
-/// Shared orchestration: wire links, spawn node threads, drive the root.
+/// Shared orchestration: wire links, host the node roles on reactor
+/// shards, drive the root.
 fn run_cluster_inner(
     config: &ClusterConfig,
     work: Vec<NodeWork>,
@@ -386,7 +385,7 @@ fn run_cluster_inner(
     // children remain. Every relay gets its own uplink counters (and
     // downlink counters when the engine has a control plane) so the report
     // can attribute traffic per tier.
-    let mut relay_specs = Vec::new(); // deferred spawns: (ups, up_tx, down_rx, relay_children)
+    let mut relay_specs = Vec::new();
     let mut relay_tier_counters: Vec<Vec<(SharedCounters, Option<SharedCounters>)>> = Vec::new();
     if let Topology::Tree { fanout, depth } = config.topology {
         for _tier in 1..depth {
@@ -420,21 +419,28 @@ fn run_cluster_inner(
                 tier_counters.push((up_counters, down_counters));
 
                 let mut ups = Vec::new();
-                let mut relay_children = Vec::new();
+                let mut senders = vec![up_tx];
+                let mut routes = Vec::new();
                 let mut range = (u32::MAX, 0u32);
                 for ch in group {
                     range.0 = range.0.min(ch.range.0);
                     range.1 = range.1.max(ch.range.1);
                     ups.extend(ch.ups);
                     if let Some(sender) = ch.ctl {
-                        relay_children.push(RelayChild {
+                        routes.push(RelayChildRoute {
                             range: ch.range,
-                            sender,
+                            via: senders.len(),
                             leaf: ch.leaf,
                         });
+                        senders.push(sender);
                     }
                 }
-                relay_specs.push((ups, up_tx, relay_down_rx, relay_children));
+                relay_specs.push(RelaySpec {
+                    ups,
+                    parent_down: relay_down_rx,
+                    routes,
+                    senders,
+                });
                 next.push(ChildHandle {
                     ups: vec![up_rx],
                     ctl: parent_ctl,
@@ -476,8 +482,8 @@ fn run_cluster_inner(
 
     // Shard the node roles over `threads` reactors: each shard hosts its
     // bucket of locals (with their responders) and relays on ONE event
-    // loop. The shard count doubles as the per-node sort budget, keeping
-    // the `DEMA_THREADS` semantics of the threaded runner.
+    // loop. The shard count doubles as the per-node sort budget, so
+    // `DEMA_THREADS` bounds both.
     let engine = config.engine;
     let pace = config.pace_window_ms;
     let sort_threads = config
@@ -502,13 +508,8 @@ fn run_cluster_inner(
         });
     }
     let mut shard_relays: Vec<Vec<RelaySpec>> = (0..shards).map(|_| Vec::new()).collect();
-    for (i, (ups, parent_up, parent_down, children)) in relay_specs.into_iter().enumerate() {
-        shard_relays[i % shards].push(RelaySpec {
-            ups,
-            parent_up,
-            parent_down,
-            children,
-        });
+    for (i, spec) in relay_specs.into_iter().enumerate() {
+        shard_relays[i % shards].push(spec);
     }
 
     let mut handles = Vec::new();
@@ -668,18 +669,21 @@ struct LocalNodeSpec {
     leave_window: Option<u64>,
 }
 
-/// Everything a shard needs to host one relay node.
+/// Everything a shard needs to host one relay node: its child uplinks,
+/// the parent's downlink (control-plane engines only), and the role's
+/// sender table — the parent uplink at [`crate::relay::RELAY_PARENT_UP`],
+/// then one downlink per entry of `routes`.
 struct RelaySpec {
     ups: Vec<Box<dyn MsgReceiver>>,
-    parent_up: Box<dyn MsgSender>,
     parent_down: Option<Box<dyn MsgReceiver>>,
-    children: Vec<RelayChild>,
+    routes: Vec<RelayChildRoute>,
+    senders: Vec<Box<dyn MsgSender>>,
 }
 
 /// Host one shard's bucket of locals, responders, and relays on a single
 /// reactor event loop, and return every error the hosted roles recorded
 /// (a failing role retires — dropping its links — without stopping the
-/// shard, matching the threaded runner's per-thread error semantics).
+/// shard).
 #[allow(clippy::too_many_arguments)] // one-shot plumbing from run_cluster_inner
 fn run_shard(
     engine: EngineKind,
@@ -741,16 +745,6 @@ fn run_shard(
     for spec in relays {
         let handler = hosts.len();
         let n_ups = spec.ups.len();
-        let mut senders: Vec<Box<dyn MsgSender>> = vec![spec.parent_up];
-        let mut routes = Vec::with_capacity(spec.children.len());
-        for child in spec.children {
-            routes.push(RelayChildRoute {
-                range: child.range,
-                via: senders.len(),
-                leaf: child.leaf,
-            });
-            senders.push(child.sender);
-        }
         for (i, rx) in spec.ups.into_iter().enumerate() {
             reactor.register(handler, i, Box::new(RecvSource(rx)));
         }
@@ -759,8 +753,8 @@ fn run_shard(
             reactor.register(handler, n_ups, Box::new(RecvSource(down)));
         }
         hosts.push(RoleHost::new(
-            Box::new(RelayRole::new(n_ups, routes, has_down)) as Box<dyn Stepper + '_>,
-            senders,
+            Box::new(RelayRole::new(n_ups, spec.routes, has_down)) as Box<dyn Stepper + '_>,
+            spec.senders,
         ));
     }
     let mut handlers: Vec<&mut dyn Handler<ClusterError>> = hosts

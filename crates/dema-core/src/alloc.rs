@@ -159,6 +159,14 @@ pub fn shelved_bytes() -> usize {
     armed_impl::shelved_bytes()
 }
 
+/// Fresh system allocations the calling thread has made so far, across
+/// all phases (0 when disarmed). Unlike [`snapshot`], other threads'
+/// traffic never moves it, so a single-threaded region can be checked
+/// while the rest of the process allocates.
+pub fn thread_fresh() -> u64 {
+    armed_impl::thread_fresh()
+}
+
 /// A steady-state allocation gate: snapshots the counters at construction
 /// and asserts that a warmed-up region performed **zero fresh system
 /// allocations** — every request was served from the recycling shelves.
@@ -638,10 +646,16 @@ mod armed_impl {
         .is_some()
     }
 
+    thread_local! {
+        /// Fresh allocations made by this thread, across all phases.
+        static THREAD_FRESH: Cell<u64> = const { Cell::new(0) };
+    }
+
     fn note_fresh(layout: Layout) {
         let phase = PHASE.try_with(Cell::get).unwrap_or(0) as usize % PHASES;
         FRESH[phase].fetch_add(1, Ordering::Relaxed);
         FRESH_BYTES[phase].fetch_add(layout.size() as u64, Ordering::Relaxed);
+        let _ = THREAD_FRESH.try_with(|c| c.set(c.get() + 1));
     }
 
     /// The armed allocator: counts fresh system traffic and recycles
@@ -717,6 +731,10 @@ mod armed_impl {
     pub(super) fn shelved_bytes() -> usize {
         SHELVED_BYTES.load(Ordering::Relaxed)
     }
+
+    pub(super) fn thread_fresh() -> u64 {
+        THREAD_FRESH.try_with(Cell::get).unwrap_or(0)
+    }
 }
 
 #[cfg(not(any(debug_assertions, feature = "strict")))]
@@ -731,6 +749,10 @@ mod armed_impl {
     }
 
     pub(super) fn shelved_bytes() -> usize {
+        0
+    }
+
+    pub(super) fn thread_fresh() -> u64 {
         0
     }
 }
@@ -819,10 +841,19 @@ mod tests {
             (v.iter().sum::<u64>(), b.len())
         };
         pattern();
+        // The gate's counters are process-wide and other test threads
+        // allocate concurrently (thread names, result strings), so the
+        // zero-fresh check reads this thread's own counter.
         let gate = AllocGate::steady_state("alloc unit test");
+        let before = thread_fresh();
         let (sum, len) = pattern();
         assert_eq!((sum, len), (129286, 777));
-        gate.assert_zero_fresh();
+        assert_eq!(
+            thread_fresh() - before,
+            0,
+            "the warmed pattern must be shelf-served: {:?}",
+            gate.delta()
+        );
     }
 
     #[test]

@@ -639,7 +639,9 @@ mod tests {
     fn radix_scratch_is_reused_across_windows() {
         // Pin the scratch-reuse contract with the alloc counters: once one
         // window has grown this thread's radix scratch, a same-sized window
-        // sorts without a single fresh allocation in the Sort phase.
+        // sorts without a single fresh allocation. `sort_run` stays on the
+        // calling thread, so this thread's counter sees all of it and none
+        // of the Sort-phase traffic of concurrently running tests.
         if !crate::alloc::armed() {
             return;
         }
@@ -647,11 +649,10 @@ mod tests {
         let mut warm = base.clone();
         sort_run(&mut warm); // grows SCRATCH to this window size
         let mut next = base; // moved: its buffer predates the snapshot
-        let before = crate::alloc::snapshot();
+        let before = crate::alloc::thread_fresh();
         sort_run(&mut next);
-        let delta = crate::alloc::snapshot().since(&before);
         assert_eq!(
-            delta.fresh[crate::alloc::Phase::Sort as usize],
+            crate::alloc::thread_fresh() - before,
             0,
             "steady-state sort_run must reuse the thread-local scratch"
         );

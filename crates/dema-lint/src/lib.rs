@@ -303,7 +303,7 @@ fn mask_source(text: &str) -> String {
                 if bytes.get(j) == Some(&b'"') {
                     j += 1;
                     let closer: Vec<u8> = std::iter::once(b'"')
-                        .chain(std::iter::repeat(b'#').take(hashes))
+                        .chain(std::iter::repeat_n(b'#', hashes))
                         .collect();
                     while j < bytes.len() && !bytes[j..].starts_with(&closer) {
                         j += 1;
@@ -358,9 +358,7 @@ fn mask_source(text: &str) -> String {
                     }
                 }
                 if bytes.get(j) == Some(&b'\'') && j > i + 1 {
-                    for k in i..=j {
-                        out[k] = b' ';
-                    }
+                    out[i..=j].fill(b' ');
                     i = j + 1;
                 } else {
                     i += 1; // lifetime, leave it
@@ -786,7 +784,7 @@ fn collect_decl_name(line: &str, ty: &str, names: &mut BTreeSet<String>) {
         return;
     };
     // The identifier left of the last single `:` (not `::`) before the type.
-    let head = line[..ty_at].as_bytes();
+    let head = &line.as_bytes()[..ty_at];
     let mut colon = None;
     let mut k = 0;
     while k < head.len() {

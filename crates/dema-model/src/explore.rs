@@ -259,8 +259,8 @@ fn gen_inputs(cfg: &ExploreConfig) -> Vec<Vec<Vec<Event>>> {
 }
 
 /// The system under test for one path replay. Borrows the per-replay
-/// `LocalShared` cells (the steppers and responder share them, as in the
-/// threaded runner).
+/// `LocalShared` cells (the steppers and responder share them, as the
+/// reactor-hosted roles do).
 struct System<'a> {
     root: RootNode,
     steppers: Vec<LocalStepper<'a>>,

@@ -7,10 +7,10 @@
 //! Transports for the Dema cluster protocol. Two interchangeable
 //! implementations behind the [`MsgSender`] / [`MsgReceiver`] traits:
 //!
-//! * [`mem`] — in-process links built on crossbeam channels. Every send is
-//!   accounted with the message's exact encoded size (plus the 4-byte frame
-//!   prefix, for parity with TCP), so network-cost experiments measure real
-//!   wire bytes even when nothing crosses a socket. This is the default
+//! * [`mem`] — in-process links built on `std::sync::mpsc` channels. Every
+//!   send is accounted with the message's exact encoded size (plus the
+//!   4-byte frame prefix, for parity with TCP), so network-cost experiments
+//!   measure real wire bytes even when nothing crosses a socket. This is the default
 //!   substrate for the paper's cluster topology (see DESIGN.md §5 on the
 //!   hardware substitution).
 //! * [`tcp`] — real TCP over `std::net` with length-prefixed frames, for

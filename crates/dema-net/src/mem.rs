@@ -1,6 +1,6 @@
 //! In-memory links with exact wire accounting.
 //!
-//! Messages move through an unbounded crossbeam channel without being
+//! Messages move through an unbounded `std::sync::mpsc` channel without being
 //! serialized, but every send records the bytes the message *would* occupy
 //! on the wire (`encoded_len() + 4` frame prefix) plus its event units, so
 //! the network-cost figures are identical to a TCP run.
@@ -11,10 +11,10 @@
 //! `SharedRun` payloads — the events themselves are never copied between
 //! the local store and the root's merger.
 
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use dema_core::sync::{rank, Mutex};
 use dema_wire::Message;
 
@@ -79,7 +79,7 @@ pub struct MemReceiver {
 /// `counters`.
 pub fn link(counters: SharedCounters) -> (MemSender, MemReceiver) {
     // lint: allow(R12): in-flight traffic is bounded by the windows the protocol keeps open
-    let (tx, rx) = unbounded();
+    let (tx, rx) = mpsc::channel();
     (
         MemSender {
             tx,
@@ -97,7 +97,7 @@ pub fn throttled_link(
     throttle: Arc<Throttle>,
 ) -> (MemSender, MemReceiver) {
     // lint: allow(R12): the throttle paces senders, so queue depth tracks link capacity
-    let (tx, rx) = unbounded();
+    let (tx, rx) = mpsc::channel();
     (
         MemSender {
             tx,

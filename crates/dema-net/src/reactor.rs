@@ -5,10 +5,9 @@
 //! is *level-triggered polling*: every registered [`Source`] (an
 //! in-process channel, a scheduler-visible step queue, or a nonblocking
 //! TCP parser) exposes a cheap non-blocking poll, and the loop sweeps
-//! them round-robin, draining each before moving on. Between sweeps the
-//! loop backs off exactly like the threaded runner's drive loop did
-//! (yield briefly, then sleep a few µs, bounded by the next timer
-//! deadline), so idle reactors cost near-nothing while busy ones run
+//! them round-robin, draining each before moving on. Between idle sweeps
+//! the loop backs off (yield briefly, then sleep a few µs, bounded by the
+//! next timer deadline), so idle reactors cost near-nothing while busy ones run
 //! syscall-free on in-memory links.
 //!
 //! Deadlines are a binary-heap timer wheel: handlers arm one-shot timers
@@ -201,8 +200,7 @@ pub struct Reactor {
     spin_sweeps: u32,
 }
 
-/// Spin this many empty sweeps (yielding) before sleeping, mirroring the
-/// threaded runner's drive-loop backoff.
+/// Spin this many empty sweeps (yielding) before sleeping.
 const SPIN_SWEEPS: u32 = 64;
 
 /// Idle nap once spinning gives up; short enough that a burst wakes the

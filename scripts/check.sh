@@ -74,10 +74,12 @@
 #                      The tcp_cluster example runs in the same breath so
 #                      example rot fails the gate too (DESIGN.md §13).
 #   bench --no-run   — criterion benches must keep compiling
-#   clippy           — deny the two lints that reintroduce hot-path copies:
-#                      redundant_clone (event buffers must be shared, not
-#                      cloned) and needless_collect (no intermediate Vecs
-#                      on the merge paths). R1's compiler-side twin — deny
+#   clippy           — every warning is an error (dead code or unused
+#                      imports left behind by a deletion fail here), and
+#                      the two lints that reintroduce hot-path copies are
+#                      denied by name: redundant_clone (event buffers must
+#                      be shared, not cloned) and needless_collect (no
+#                      intermediate Vecs on the merge paths). R1's compiler-side twin — deny
 #                      unwrap/expect in non-test library code — lives as
 #                      in-crate attributes on the four protocol crates and
 #                      fires during this same pass.
@@ -109,6 +111,7 @@ cargo run -q --release -p dema --features strict --bin dema-server -- \
 cargo run -q --release -p dema --example tcp_cluster > /dev/null
 cargo bench --no-run
 cargo clippy --workspace --all-targets -- \
+    -D warnings \
     -D clippy::redundant_clone \
     -D clippy::needless_collect
 
