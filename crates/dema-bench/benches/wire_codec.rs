@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use bytes::BytesMut;
 use dema_core::event::{Event, NodeId, WindowId};
 use dema_core::slice::{SliceId, SliceSynopsis};
 use dema_wire::Message;
@@ -47,8 +46,8 @@ fn bench_encode(c: &mut Criterion) {
         group.throughput(Throughput::Bytes(msg.encoded_len() as u64));
         group.bench_with_input(BenchmarkId::new("event_batch", n), &msg, |b, msg| {
             b.iter(|| {
-                let mut buf = BytesMut::with_capacity(msg.encoded_len());
-                msg.encode(&mut buf);
+                let mut buf = Vec::with_capacity(msg.encoded_len());
+                msg.encode_into(&mut buf);
                 black_box(buf.len())
             })
         });
@@ -57,8 +56,8 @@ fn bench_encode(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(msg.encoded_len() as u64));
     group.bench_function("synopsis_batch_100", |b| {
         b.iter(|| {
-            let mut buf = BytesMut::with_capacity(msg.encoded_len());
-            msg.encode(&mut buf);
+            let mut buf = Vec::with_capacity(msg.encoded_len());
+            msg.encode_into(&mut buf);
             black_box(buf.len())
         })
     });

@@ -790,7 +790,6 @@ fn sustainable(scale: Scale, sink: &CsvSink) {
                 resilience: None,
                 faults: Vec::new(),
                 threads: None,
-                pipeline_depth: dema_cluster::root::PIPELINE_DEPTH,
                 membership: dema_cluster::config::MembershipPlan::default(),
             };
             let report = run_cluster(&config, inputs).expect("probe run");

@@ -76,7 +76,6 @@ pub fn measure_with(
         resilience: None,
         faults: Vec::new(),
         threads: None,
-        pipeline_depth: dema_cluster::root::PIPELINE_DEPTH,
         membership: dema_cluster::config::MembershipPlan::default(),
     };
     let report = run_cluster(&config, inputs.to_vec()).expect("cluster run failed");
@@ -102,7 +101,6 @@ pub fn measure_paced(
         resilience: None,
         faults: Vec::new(),
         threads: None,
-        pipeline_depth: dema_cluster::root::PIPELINE_DEPTH,
         membership: dema_cluster::config::MembershipPlan::default(),
     };
     let report = run_cluster(&config, inputs.to_vec()).expect("cluster run failed");

@@ -243,11 +243,6 @@ pub struct ClusterConfig {
     /// output — and therefore every byte on the wire — is identical at
     /// every value; this only changes wall-clock.
     pub threads: Option<usize>,
-    /// Max windows the root admits into its identification/calculation
-    /// stage at once (clamped to ≥ 1; engines without a window pipeline
-    /// ignore it). Deeper pipelines overlap root work across windows
-    /// without changing any per-window result or traffic counter.
-    pub pipeline_depth: usize,
     /// Staged membership changes (epoch-based join/leave/drain; DESIGN.md
     /// §14). Empty for fixed membership. Dema engine only.
     pub membership: MembershipPlan,
@@ -270,7 +265,6 @@ impl ClusterConfig {
             resilience: None,
             faults: Vec::new(),
             threads: None,
-            pipeline_depth: crate::engines::dema::PIPELINE_DEPTH,
             membership: MembershipPlan::default(),
         }
     }
@@ -287,7 +281,6 @@ impl ClusterConfig {
             resilience: None,
             faults: Vec::new(),
             threads: None,
-            pipeline_depth: crate::engines::dema::PIPELINE_DEPTH,
             membership: MembershipPlan::default(),
         }
     }

@@ -2,69 +2,47 @@
 //! is shipped to the root, which sorts the whole window and picks the
 //! quantile. This is exactly the bottleneck the paper measures against.
 
-use std::collections::{BTreeMap, HashSet};
-
 use dema_core::event::{Event, NodeId, WindowId};
 use dema_core::numeric::len_to_u64;
 use dema_core::quantile::Quantile;
 use dema_net::MsgSender;
 use dema_wire::Message;
 
-use super::retry::{self, Supervisor};
-use super::{LocalEngine, ResolvedWindow, RootEngine, RootParams};
+use super::retry::SingleStage;
+use super::LocalEngine;
 use crate::ClusterError;
 
-#[derive(Default)]
-struct WindowState {
-    reported: HashSet<u32>,
-    batches: Vec<Vec<Event>>,
-}
-
-impl retry::Contributions for WindowState {
-    fn reported(&self) -> &HashSet<u32> {
-        &self.reported
-    }
-}
-
 /// Root half: accumulate raw batches, sort, answer.
-pub struct CentralizedRoot {
-    quantile: Quantile,
-    n_locals: usize,
-    states: BTreeMap<u64, WindowState>,
-    control: Vec<Box<dyn MsgSender>>,
-    sup: Option<Supervisor>,
+pub(crate) struct CentralizedRoot {
+    pub(crate) quantile: Quantile,
 }
 
-impl CentralizedRoot {
-    /// Build from the shell params.
-    pub fn new(params: RootParams) -> CentralizedRoot {
-        CentralizedRoot {
-            quantile: params.quantile,
-            n_locals: params.n_locals,
-            states: BTreeMap::new(),
-            control: params.control,
-            sup: params.resilience.map(Supervisor::new),
+impl SingleStage for CentralizedRoot {
+    type Part = Vec<Event>;
+
+    fn unpack(&self, msg: Message) -> Result<(NodeId, WindowId, Vec<Event>), ClusterError> {
+        match msg {
+            Message::EventBatch {
+                node,
+                window,
+                events,
+                ..
+            } => Ok((node, window, events)),
+            msg => Err(ClusterError::Protocol(format!(
+                "centralized root: unexpected message {msg:?}"
+            ))),
         }
     }
 
-    fn finalize_window(
-        &mut self,
+    fn answer(
+        &self,
         window: WindowId,
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<(), ClusterError> {
-        let state = self.states.remove(&window.0).unwrap_or_default();
-        let degraded = retry::close_window(&mut self.sup, window.0, &state.reported, self.n_locals);
-        let mut all: Vec<Event> = state.batches.into_iter().flatten().collect();
+        parts: Vec<Vec<Event>>,
+    ) -> Result<(Option<i64>, u64), ClusterError> {
+        let mut all: Vec<Event> = parts.into_iter().flatten().collect();
         let total = len_to_u64(all.len());
         if total == 0 {
-            resolved.push((
-                window,
-                ResolvedWindow {
-                    degraded,
-                    ..Default::default()
-                },
-            ));
-            return Ok(());
+            return Ok((None, 0));
         }
         // The centralized root does the full sort itself.
         all.sort_unstable();
@@ -75,78 +53,7 @@ impl CentralizedRoot {
             .ok_or_else(|| {
                 ClusterError::Protocol(format!("{window}: rank {k} beyond {total} events"))
             })?;
-        resolved.push((
-            window,
-            ResolvedWindow {
-                value: Some(value),
-                total_events: total,
-                degraded,
-                ..Default::default()
-            },
-        ));
-        Ok(())
-    }
-}
-
-impl RootEngine for CentralizedRoot {
-    fn on_message(
-        &mut self,
-        msg: Message,
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<(), ClusterError> {
-        let Message::EventBatch {
-            node,
-            window,
-            events,
-            ..
-        } = msg
-        else {
-            return Err(ClusterError::Protocol(format!(
-                "centralized root: unexpected message {msg:?}"
-            )));
-        };
-        if !retry::admit(&mut self.sup, window.0, node.0) {
-            return Ok(());
-        }
-        let state = self.states.entry(window.0).or_default();
-        if !state.reported.insert(node.0) {
-            retry::suppress_duplicate(&self.sup);
-            return Ok(());
-        }
-        state.batches.push(events);
-        if retry::covered(&self.sup, &state.reported, self.n_locals) {
-            self.finalize_window(window, resolved)?;
-        }
-        Ok(())
-    }
-
-    fn next_deadline(&self) -> Option<std::time::Instant> {
-        retry::next_due(&self.sup)
-    }
-
-    fn on_tick(
-        &mut self,
-        expected_windows: u64,
-        quiescent: bool,
-        missing_enders: &[u32],
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<Vec<NodeId>, ClusterError> {
-        let Some(sup) = self.sup.as_mut() else {
-            return Ok(Vec::new());
-        };
-        let (newly_dead, completable) = retry::run_tick(
-            sup,
-            &mut self.control,
-            &self.states,
-            self.n_locals,
-            expected_windows,
-            quiescent,
-            missing_enders,
-        )?;
-        for w in completable {
-            self.finalize_window(WindowId(w), resolved)?;
-        }
-        Ok(newly_dead.into_iter().map(NodeId).collect())
+        Ok((Some(value), total))
     }
 }
 

@@ -14,8 +14,7 @@
 //! while earlier windows sit in stage 2, so the root's CPU work for `w+1`
 //! overlaps the network round trip of `w`. Stage 2 (*identify & resolve*)
 //! runs the window-cut, fires candidate requests, and awaits the replies;
-//! at most the configured pipeline depth (default [`PIPELINE_DEPTH`])
-//! windows hold a stage-2 slot at once, bounding
+//! at most [`PIPELINE_DEPTH`] windows hold a stage-2 slot at once, bounding
 //! outstanding request fan-out and candidate-run memory no matter how far
 //! the locals run ahead. The window-cut itself stays the pure,
 //! single-threaded algorithm in `dema-core` — the pipeline only schedules
@@ -60,9 +59,8 @@ use crate::membership::EpochLedger;
 use crate::report::Degraded;
 use crate::ClusterError;
 
-/// Default max Dema windows allowed in stage 2 (candidate requests
-/// outstanding) at once; [`RootParams::pipeline_depth`] overrides it per
-/// run. Four slots keep the root's identify/merge work for windows
+/// Max Dema windows allowed in stage 2 (candidate requests outstanding)
+/// at once. Four slots keep the root's identify/merge work for windows
 /// `w+1..w+4` overlapped with the reply round trip of `w` — on fast-paced
 /// locals the round trip, not the root CPU, is the bottleneck, and two
 /// slots left the root idle between reply bursts. Memory stays bounded:
@@ -201,9 +199,6 @@ pub struct DemaRoot {
     states: BTreeMap<u64, WindowState>,
     gamma: GammaPolicy,
     control: Vec<Box<dyn MsgSender>>,
-    /// Max windows admitted into stage 2 at once (configured pipeline
-    /// depth, default [`PIPELINE_DEPTH`]).
-    depth: usize,
     /// Windows currently in stage 2 (requests sent, replies pending).
     in_flight: usize,
     /// Stage-1-complete windows waiting for a stage-2 slot, in the order
@@ -241,7 +236,6 @@ impl DemaRoot {
             states: BTreeMap::new(),
             gamma,
             control: params.control,
-            depth: params.pipeline_depth.max(1),
             in_flight: 0,
             ready: VecDeque::new(),
             sup: params.resilience.map(Supervisor::new),
@@ -291,7 +285,7 @@ impl DemaRoot {
         state
             .synopses
             .sort_unstable_by_key(|s| (s.first, s.last, s.id));
-        if self.in_flight < self.depth {
+        if self.in_flight < PIPELINE_DEPTH {
             self.identify(window, resolved)?;
         } else {
             self.ready.push_back(window.0);
@@ -429,7 +423,7 @@ impl DemaRoot {
         &mut self,
         resolved: &mut Vec<(WindowId, ResolvedWindow)>,
     ) -> Result<(), ClusterError> {
-        while self.in_flight < self.depth {
+        while self.in_flight < PIPELINE_DEPTH {
             let Some(w) = self.ready.pop_front() else {
                 break;
             };

@@ -9,6 +9,12 @@
 //! messages an engine sends, how the root combines them, when a window is
 //! done — lives in this directory. Adding an engine means adding one module
 //! here and one row to [`REGISTRY`]; no `match` arm elsewhere grows.
+//!
+//! Only Dema has a root of its own ([`dema::DemaRoot`], two stages with
+//! candidate fetches). Every other engine ships one summary per local per
+//! window, and its root is the shared single-stage collector in [`retry`]:
+//! the engine module implements only `unpack` (its uplink variant) and
+//! `answer` (the value and `l_G` from a window's parts, in node order).
 
 pub mod centralized;
 pub mod dec_sort;
@@ -19,6 +25,8 @@ pub mod tdigest_central;
 pub mod tdigest_distributed;
 
 pub use retry::ResilienceCtx;
+
+use retry::SingleStageRoot;
 
 use dema_core::event::{Event, NodeId, WindowId};
 use dema_core::quantile::Quantile;
@@ -159,11 +167,6 @@ pub struct RootParams {
     /// Retry / liveness parameters plus the fault-counter sink. `None`
     /// runs the seed protocol unchanged.
     pub resilience: Option<ResilienceCtx>,
-    /// Max windows the root admits into its identification/calculation
-    /// stage at once (engines without a window pipeline ignore this;
-    /// clamped to at least 1). See [`dema::PIPELINE_DEPTH`] for the
-    /// default and the trade-off.
-    pub pipeline_depth: usize,
 }
 
 /// Static facts about one registered engine.
@@ -290,19 +293,34 @@ pub fn initial_gamma(kind: EngineKind) -> u64 {
 
 /// Build the root-side engine for `kind`.
 pub fn build_root(kind: EngineKind, params: RootParams) -> Box<dyn RootEngine> {
+    let quantile = params.quantile;
     match kind {
         EngineKind::Dema { gamma, strategy } => {
             Box::new(dema::DemaRoot::new(gamma, strategy, params))
         }
-        EngineKind::Centralized => Box::new(centralized::CentralizedRoot::new(params)),
-        EngineKind::DecSort => Box::new(dec_sort::DecSortRoot::new(params)),
-        EngineKind::TdigestCentral { compression } => Box::new(
-            tdigest_central::TdigestCentralRoot::new(compression, params),
-        ),
-        EngineKind::TdigestDistributed { .. } => {
-            Box::new(tdigest_distributed::TdigestDistributedRoot::new(params))
-        }
-        EngineKind::KllDistributed { .. } => Box::new(kll_distributed::KllRoot::new(params)),
+        EngineKind::Centralized => Box::new(SingleStageRoot::new(
+            centralized::CentralizedRoot { quantile },
+            params,
+        )),
+        EngineKind::DecSort => Box::new(SingleStageRoot::new(
+            dec_sort::DecSortRoot { quantile },
+            params,
+        )),
+        EngineKind::TdigestCentral { compression } => Box::new(SingleStageRoot::new(
+            tdigest_central::TdigestCentralRoot {
+                quantile,
+                compression,
+            },
+            params,
+        )),
+        EngineKind::TdigestDistributed { .. } => Box::new(SingleStageRoot::new(
+            tdigest_distributed::TdigestDistributedRoot { quantile },
+            params,
+        )),
+        EngineKind::KllDistributed { .. } => Box::new(SingleStageRoot::new(
+            kll_distributed::KllRoot { quantile },
+            params,
+        )),
     }
 }
 

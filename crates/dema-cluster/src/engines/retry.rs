@@ -1,4 +1,5 @@
-//! Retry / liveness supervisor shared by every root engine.
+//! Retry / liveness supervisor shared by every root engine, and
+//! [`SingleStageRoot`], the one root of every engine except Dema.
 //!
 //! The protocol's seed behavior is "a lost message hangs its window". When a
 //! run carries a [`Resilience`] config, each root engine owns a
@@ -16,18 +17,26 @@
 //! Determinism: the only randomness is the retry jitter, drawn from a
 //! [`FaultRng`] seeded by [`Resilience::seed`], so a chaos run's retry
 //! schedule is reproducible modulo thread timing.
+//!
+//! The single-stage engines (centralized, dec-sort, both t-digests, KLL)
+//! share one protocol shape: each local ships one summary per window and
+//! the root answers once every local has reported. [`SingleStageRoot`]
+//! runs that state machine; each engine supplies only a [`SingleStage`]
+//! impl that unpacks its uplink variant and answers from a window's parts.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use dema_core::event::WindowId;
+use dema_core::event::{NodeId, WindowId};
 use dema_core::numeric::len_to_u32;
 use dema_metrics::FaultCounters;
 use dema_net::fault::FaultRng;
 use dema_net::{MsgSender, NetError};
 use dema_wire::Message;
 
+use super::{ResolvedWindow, RootEngine, RootParams};
 use crate::config::Resilience;
 use crate::report::Degraded;
 use crate::ClusterError;
@@ -182,8 +191,9 @@ impl Supervisor {
 
     /// `true` when every local either contributed (`reported`), is dead,
     /// or drained away cleanly.
-    pub(crate) fn covered(&self, reported: Option<&HashSet<u32>>, n_locals: usize) -> bool {
-        self.covered_members(reported, &(0..len_to_u32(n_locals)).collect::<Vec<u32>>())
+    pub(crate) fn covered(&self, reported: impl Fn(u32) -> bool, n_locals: usize) -> bool {
+        (0..len_to_u32(n_locals))
+            .all(|n| reported(n) || self.dead.contains(&n) || self.drained.contains(&n))
     }
 
     /// [`Supervisor::covered`] against an explicit member set (membership
@@ -284,11 +294,11 @@ impl Supervisor {
     pub(crate) fn degrade_record(
         &mut self,
         w: u64,
-        reported: &HashSet<u32>,
+        reported: impl Fn(u32) -> bool,
         n_locals: usize,
     ) -> Option<Degraded> {
         let missing: Vec<u32> = (0..len_to_u32(n_locals))
-            .filter(|n| !reported.contains(n))
+            .filter(|&n| !reported(n))
             .collect();
         if missing.is_empty() {
             return None;
@@ -312,11 +322,10 @@ pub(crate) fn send_lossy(link: &mut dyn MsgSender, msg: &Message) -> Result<(), 
     }
 }
 
-/// Shared tick body for single-stage engines (everything except Dema):
-/// manages the stream-end deadline, charges expiries, and NACKs missing
-/// contributions with [`Message::ResendWindow`]. Returns nodes newly
-/// declared dead; the engine then sweeps for windows completable from
-/// survivors.
+/// Tick body of [`SingleStageRoot`]: manages the stream-end deadline,
+/// charges expiries, and NACKs missing contributions with
+/// [`Message::ResendWindow`]. Returns nodes newly declared dead; the root
+/// then sweeps for windows completable from survivors.
 pub(crate) fn tick_single_stage(
     sup: &mut Supervisor,
     control: &mut [Box<dyn MsgSender>],
@@ -373,28 +382,6 @@ pub(crate) fn tick_single_stage(
     Ok(newly_dead)
 }
 
-/// A window state that tracks which locals contributed, for the shared
-/// single-stage tick.
-pub(crate) trait Contributions {
-    /// Locals whose contribution for this window arrived.
-    fn reported(&self) -> &HashSet<u32>;
-}
-
-/// Pre-filter one arriving contribution. Suppresses it when the window is
-/// already finished (a retry-induced duplicate), otherwise resets the
-/// node's liveness budget and arms the window deadline. Returns `false`
-/// when the message should be dropped. A no-op `true` without a supervisor.
-pub(crate) fn admit(sup: &mut Option<Supervisor>, w: u64, node: u32) -> bool {
-    let Some(sup) = sup.as_mut() else { return true };
-    if sup.is_done(w) {
-        sup.counters.record_duplicate();
-        return false;
-    }
-    sup.note_alive(node);
-    sup.arm(w);
-    true
-}
-
 /// Record one suppressed duplicate (same node contributing twice).
 pub(crate) fn suppress_duplicate(sup: &Option<Supervisor>) {
     if let Some(sup) = sup {
@@ -402,61 +389,155 @@ pub(crate) fn suppress_duplicate(sup: &Option<Supervisor>) {
     }
 }
 
-/// `true` when `reported` (plus the dead set, if supervised) covers every
-/// local — the window cannot gain further contributions.
-pub(crate) fn covered(sup: &Option<Supervisor>, reported: &HashSet<u32>, n_locals: usize) -> bool {
-    match sup {
-        Some(s) => s.covered(Some(reported), n_locals),
-        None => reported.len() == n_locals,
+/// The engine half of a single-stage root: every local ships one summary
+/// per window in one uplink variant, and the root answers once every local
+/// has reported or been declared dead. [`SingleStageRoot`] owns the rest.
+pub(crate) trait SingleStage: Send {
+    /// One local's summary of one window.
+    type Part: Send;
+
+    /// Match the engine's uplink variant; any other message is a protocol
+    /// error.
+    fn unpack(&self, msg: Message) -> Result<(NodeId, WindowId, Self::Part), ClusterError>;
+
+    /// The window's value and `l_G` from the parts that arrived, in node-id
+    /// order (none at all when every local died before reporting).
+    fn answer(
+        &self,
+        window: WindowId,
+        parts: Vec<Self::Part>,
+    ) -> Result<(Option<i64>, u64), ClusterError>;
+}
+
+/// The root of every single-stage engine: per-window collection, duplicate
+/// suppression, coverage and the retry supervisor. Parts reach
+/// [`SingleStage::answer`] sorted by node id, so no answer depends on
+/// arrival timing.
+pub(crate) struct SingleStageRoot<E: SingleStage> {
+    engine: E,
+    n_locals: usize,
+    /// Parts received so far, per window, keyed by node.
+    windows: BTreeMap<u64, BTreeMap<u32, E::Part>>,
+    control: Vec<Box<dyn MsgSender>>,
+    sup: Option<Supervisor>,
+}
+
+impl<E: SingleStage> SingleStageRoot<E> {
+    pub(crate) fn new(engine: E, params: RootParams) -> SingleStageRoot<E> {
+        SingleStageRoot {
+            engine,
+            n_locals: params.n_locals,
+            windows: BTreeMap::new(),
+            control: params.control,
+            sup: params.resilience.map(Supervisor::new),
+        }
+    }
+
+    /// `true` when every local reported for `w` or is dead (or drained) —
+    /// the window cannot gain further parts.
+    fn covered(&self, w: u64) -> bool {
+        let parts = self.windows.get(&w);
+        match &self.sup {
+            Some(sup) => sup.covered(|n| parts.is_some_and(|p| p.contains_key(&n)), self.n_locals),
+            None => parts.map_or(0, BTreeMap::len) == self.n_locals,
+        }
+    }
+
+    /// Close the books on `w` — its degraded record, and late parts
+    /// suppressed as duplicates from here on — then answer it.
+    fn finalize(
+        &mut self,
+        w: u64,
+        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
+    ) -> Result<(), ClusterError> {
+        let parts = self.windows.remove(&w).unwrap_or_default();
+        let degraded = self.sup.as_mut().and_then(|sup| {
+            let d = sup.degrade_record(w, |n| parts.contains_key(&n), self.n_locals);
+            sup.finish(w);
+            d
+        });
+        let window = WindowId(w);
+        let (value, total_events) = self.engine.answer(window, parts.into_values().collect())?;
+        resolved.push((
+            window,
+            ResolvedWindow {
+                value,
+                total_events,
+                degraded,
+                ..Default::default()
+            },
+        ));
+        Ok(())
     }
 }
 
-/// Close the books on a finishing window: build its degraded record (if
-/// any) and mark it done so late duplicates are suppressed.
-pub(crate) fn close_window(
-    sup: &mut Option<Supervisor>,
-    w: u64,
-    reported: &HashSet<u32>,
-    n_locals: usize,
-) -> Option<Degraded> {
-    let sup = sup.as_mut()?;
-    let d = sup.degrade_record(w, reported, n_locals);
-    sup.finish(w);
-    d
-}
+impl<E: SingleStage> RootEngine for SingleStageRoot<E> {
+    fn on_message(
+        &mut self,
+        msg: Message,
+        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
+    ) -> Result<(), ClusterError> {
+        let (node, window, part) = self.engine.unpack(msg)?;
+        let w = window.0;
+        if let Some(sup) = self.sup.as_mut() {
+            if sup.is_done(w) {
+                // A retry-induced duplicate of a finished window.
+                sup.counters.record_duplicate();
+                return Ok(());
+            }
+            sup.note_alive(node.0);
+            sup.arm(w);
+        }
+        match self.windows.entry(w).or_default().entry(node.0) {
+            Entry::Occupied(_) => suppress_duplicate(&self.sup),
+            Entry::Vacant(slot) => {
+                slot.insert(part);
+                if self.covered(w) {
+                    self.finalize(w, resolved)?;
+                }
+            }
+        }
+        Ok(())
+    }
 
-/// Full tick for a single-stage engine: arms deadlines for every
-/// outstanding window once the run is quiescent, runs
-/// [`tick_single_stage`], and reports which windows became completable
-/// from survivors. The engine then finalizes those windows itself.
-pub(crate) fn run_tick<S: Contributions>(
-    sup: &mut Supervisor,
-    control: &mut [Box<dyn MsgSender>],
-    states: &BTreeMap<u64, S>,
-    n_locals: usize,
-    expected_windows: u64,
-    quiescent: bool,
-    missing_enders: &[u32],
-) -> Result<(Vec<u32>, Vec<u64>), ClusterError> {
-    if quiescent {
-        for w in 0..expected_windows {
-            if !sup.is_done(w) {
+    fn next_deadline(&self) -> Option<Instant> {
+        next_due(&self.sup)
+    }
+
+    fn on_tick(
+        &mut self,
+        expected_windows: u64,
+        quiescent: bool,
+        missing_enders: &[u32],
+        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
+    ) -> Result<Vec<NodeId>, ClusterError> {
+        let Some(sup) = self.sup.as_mut() else {
+            return Ok(Vec::new());
+        };
+        if quiescent {
+            // Once the run goes quiet, even a window nobody reported for
+            // must time out and NACK.
+            for w in 0..expected_windows {
                 sup.arm(w);
             }
         }
+        let windows = &self.windows;
+        let newly_dead = tick_single_stage(
+            sup,
+            &mut self.control,
+            self.n_locals,
+            quiescent,
+            missing_enders,
+            &|w, n| windows.get(&w).is_some_and(|p| p.contains_key(&n)),
+        )?;
+        // Deaths can leave a window covered by its survivors alone.
+        for w in 0..expected_windows {
+            if self.sup.as_ref().is_some_and(|s| !s.is_done(w)) && self.covered(w) {
+                self.finalize(w, resolved)?;
+            }
+        }
+        Ok(newly_dead.into_iter().map(NodeId).collect())
     }
-    let newly_dead = tick_single_stage(
-        sup,
-        control,
-        n_locals,
-        quiescent,
-        missing_enders,
-        &|w, n| states.get(&w).is_some_and(|s| s.reported().contains(&n)),
-    )?;
-    let completable = (0..expected_windows)
-        .filter(|&w| !sup.is_done(w) && sup.covered(states.get(&w).map(|s| s.reported()), n_locals))
-        .collect();
-    Ok((newly_dead, completable))
 }
 
 /// Shared [`crate::engines::RootEngine::next_deadline`] body: the earliest
@@ -620,13 +701,15 @@ mod tests {
     #[test]
     fn covered_accounts_for_dead_nodes() {
         let mut s = sup(10, 0, 1);
-        let mut reported = HashSet::new();
-        reported.insert(0u32);
-        assert!(!s.covered(Some(&reported), 2));
+        let reported = |n| n == 0;
+        assert!(!s.covered(reported, 2));
         let _ = s.on_expiry(0, &[1]);
         assert!(s.is_dead(1));
-        assert!(s.covered(Some(&reported), 2));
-        assert!(!s.covered(None, 2), "live nodes never count as covered");
+        assert!(s.covered(reported, 2));
+        assert!(
+            !s.covered(|_| false, 2),
+            "live nodes never count as covered"
+        );
     }
 
     #[test]
@@ -646,7 +729,7 @@ mod tests {
         assert_eq!(s.counters.snapshot().nodes_declared_dead, 0);
         // Drained counts as covered alongside reports from the others.
         let reported: HashSet<u32> = (0..4).collect();
-        assert!(s.covered(Some(&reported), 5));
+        assert!(s.covered(|n| reported.contains(&n), 5));
         assert!(s.covered_members(Some(&reported), &[0, 1, 2, 3, 4]));
         assert!(!s.covered_members(None, &[0]), "live nodes are not covered");
         // Draining twice records once.
@@ -668,17 +751,13 @@ mod tests {
     #[test]
     fn degrade_record_lists_missing_nodes_and_retries() {
         let mut s = sup(10, 3, 100);
-        let mut reported = HashSet::new();
-        reported.insert(0u32);
-        reported.insert(2u32);
         s.note_retry_sent(7);
         s.note_retry_sent(7);
-        let d = s.degrade_record(7, &reported, 3).expect("node 1 missing");
+        let d = s.degrade_record(7, |n| n != 1, 3).expect("node 1 missing");
         assert_eq!(d.missing_nodes, vec![1]);
         assert_eq!(d.rank_error_bound, None);
         assert_eq!(d.retries, 2);
         assert_eq!(s.counters.snapshot().degraded_windows, 1);
-        reported.insert(1u32);
-        assert!(s.degrade_record(8, &reported, 3).is_none());
+        assert!(s.degrade_record(8, |_| true, 3).is_none());
     }
 }

@@ -3,157 +3,59 @@
 //! approximate quantile. Same wire cost as the centralized engine, less
 //! root CPU, no exactness.
 
-use std::collections::{BTreeMap, HashSet};
-
-use dema_core::event::{NodeId, WindowId};
+use dema_core::event::{Event, NodeId, WindowId};
 use dema_core::numeric::{f64_to_i64, i64_to_f64, len_to_u64};
 use dema_core::quantile::Quantile;
 use dema_net::MsgSender;
 use dema_sketch::{QuantileSketch, TDigest};
 use dema_wire::Message;
 
-use super::retry::{self, Supervisor};
-use super::{LocalEngine, ResolvedWindow, RootEngine, RootParams};
+use super::retry::SingleStage;
+use super::LocalEngine;
 use crate::ClusterError;
 
-struct WindowState {
-    reported: HashSet<u32>,
-    digest: TDigest,
-    count: u64,
-}
-
-impl retry::Contributions for WindowState {
-    fn reported(&self) -> &HashSet<u32> {
-        &self.reported
-    }
-}
-
 /// Root half: insert every raw event into one digest per window.
-pub struct TdigestCentralRoot {
-    quantile: Quantile,
-    compression: f64,
-    n_locals: usize,
-    states: BTreeMap<u64, WindowState>,
-    control: Vec<Box<dyn MsgSender>>,
-    sup: Option<Supervisor>,
+pub(crate) struct TdigestCentralRoot {
+    pub(crate) quantile: Quantile,
+    pub(crate) compression: f64,
 }
 
-impl TdigestCentralRoot {
-    /// Build from the digest compression δ and the shell params.
-    pub fn new(compression: f64, params: RootParams) -> TdigestCentralRoot {
-        TdigestCentralRoot {
-            quantile: params.quantile,
-            compression,
-            n_locals: params.n_locals,
-            states: BTreeMap::new(),
-            control: params.control,
-            sup: params.resilience.map(Supervisor::new),
+impl SingleStage for TdigestCentralRoot {
+    type Part = Vec<Event>;
+
+    fn unpack(&self, msg: Message) -> Result<(NodeId, WindowId, Vec<Event>), ClusterError> {
+        match msg {
+            Message::EventBatch {
+                node,
+                window,
+                events,
+                ..
+            } => Ok((node, window, events)),
+            msg => Err(ClusterError::Protocol(format!(
+                "tdigest root: unexpected message {msg:?}"
+            ))),
         }
     }
 
-    fn finalize_window(
-        &mut self,
-        window: WindowId,
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<(), ClusterError> {
-        let state = match self.states.remove(&window.0) {
-            Some(s) => s,
-            None => WindowState {
-                reported: HashSet::new(),
-                digest: TDigest::new(self.compression),
-                count: 0,
-            },
-        };
-        let degraded = retry::close_window(&mut self.sup, window.0, &state.reported, self.n_locals);
-        let total = state.count;
+    fn answer(
+        &self,
+        _window: WindowId,
+        parts: Vec<Vec<Event>>,
+    ) -> Result<(Option<i64>, u64), ClusterError> {
+        let mut digest = TDigest::new(self.compression);
+        let mut total = 0;
+        for events in &parts {
+            for e in events {
+                digest.insert(i64_to_f64(e.value));
+            }
+            total += len_to_u64(events.len());
+        }
         let value = if total == 0 {
             None
         } else {
-            state
-                .digest
-                .quantile(self.quantile.fraction())
-                .map(f64_to_i64)
+            digest.quantile(self.quantile.fraction()).map(f64_to_i64)
         };
-        resolved.push((
-            window,
-            ResolvedWindow {
-                value,
-                total_events: total,
-                degraded,
-                ..Default::default()
-            },
-        ));
-        Ok(())
-    }
-}
-
-impl RootEngine for TdigestCentralRoot {
-    fn on_message(
-        &mut self,
-        msg: Message,
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<(), ClusterError> {
-        let Message::EventBatch {
-            node,
-            window,
-            events,
-            ..
-        } = msg
-        else {
-            return Err(ClusterError::Protocol(format!(
-                "tdigest root: unexpected message {msg:?}"
-            )));
-        };
-        if !retry::admit(&mut self.sup, window.0, node.0) {
-            return Ok(());
-        }
-        let compression = self.compression;
-        let state = self.states.entry(window.0).or_insert_with(|| WindowState {
-            reported: HashSet::new(),
-            digest: TDigest::new(compression),
-            count: 0,
-        });
-        if !state.reported.insert(node.0) {
-            retry::suppress_duplicate(&self.sup);
-            return Ok(());
-        }
-        for e in &events {
-            state.digest.insert(i64_to_f64(e.value));
-        }
-        state.count += len_to_u64(events.len());
-        if retry::covered(&self.sup, &state.reported, self.n_locals) {
-            self.finalize_window(window, resolved)?;
-        }
-        Ok(())
-    }
-
-    fn next_deadline(&self) -> Option<std::time::Instant> {
-        retry::next_due(&self.sup)
-    }
-
-    fn on_tick(
-        &mut self,
-        expected_windows: u64,
-        quiescent: bool,
-        missing_enders: &[u32],
-        resolved: &mut Vec<(WindowId, ResolvedWindow)>,
-    ) -> Result<Vec<NodeId>, ClusterError> {
-        let Some(sup) = self.sup.as_mut() else {
-            return Ok(Vec::new());
-        };
-        let (newly_dead, completable) = retry::run_tick(
-            sup,
-            &mut self.control,
-            &self.states,
-            self.n_locals,
-            expected_windows,
-            quiescent,
-            missing_enders,
-        )?;
-        for w in completable {
-            self.finalize_window(WindowId(w), resolved)?;
-        }
-        Ok(newly_dead.into_iter().map(NodeId).collect())
+        Ok((value, total))
     }
 }
 
@@ -165,7 +67,7 @@ impl LocalEngine for TdigestCentralLocal {
         &mut self,
         node: NodeId,
         window: WindowId,
-        events: Vec<dema_core::event::Event>,
+        events: Vec<Event>,
         to_root: &mut dyn MsgSender,
     ) -> Result<(), ClusterError> {
         to_root.send(&Message::EventBatch {

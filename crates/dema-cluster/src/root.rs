@@ -109,14 +109,12 @@ impl RootNode {
             control,
             close_times,
             None,
-            PIPELINE_DEPTH,
         )
     }
 
     /// [`RootNode::new`] with extra per-window quantiles answered from the
-    /// same identification step (Dema engine only), an optional resilience
-    /// context enabling retries and graceful degradation, and an explicit
-    /// window-pipeline depth (see [`PIPELINE_DEPTH`] for the default).
+    /// same identification step (Dema engine only) and an optional
+    /// resilience context enabling retries and graceful degradation.
     #[allow(clippy::too_many_arguments)]
     pub fn with_extra_quantiles(
         quantile: Quantile,
@@ -127,7 +125,6 @@ impl RootNode {
         control: Vec<Box<dyn MsgSender>>,
         close_times: CloseTimes,
         resilience: Option<ResilienceCtx>,
-        pipeline_depth: usize,
     ) -> RootNode {
         let resilience_timeout = resilience
             .as_ref()
@@ -140,7 +137,6 @@ impl RootNode {
                 n_locals,
                 control,
                 resilience,
-                pipeline_depth,
             },
         );
         RootNode {
@@ -830,50 +826,41 @@ mod tests {
 
     #[test]
     fn pipeline_bounds_outstanding_candidate_requests() {
-        // One local, four windows delivered all at once into an explicit
-        // depth-2 pipeline: the root must fire requests for only two
-        // windows, queue the rest (already ingested and ordered), and admit
-        // them as replies free slots. An empty window (2) must pass through
-        // without wedging a slot. Constructing with an explicit depth also
-        // pins the configurability: the default is deeper (PIPELINE_DEPTH),
-        // so this test would see a third request if the override leaked.
+        // One local, PIPELINE_DEPTH + 2 windows delivered all at once: the
+        // root must fire requests for only PIPELINE_DEPTH windows, queue
+        // the rest (already ingested and ordered), and admit them in order
+        // as replies free slots. The first queued window arrives empty and
+        // must pass through without wedging a slot.
+        const N: u64 = PIPELINE_DEPTH as u64 + 2;
+        const EMPTY: u64 = PIPELINE_DEPTH as u64;
         let (ctl_tx, mut ctl_rx) = link(NetworkCounters::new_shared());
-        const { assert!(PIPELINE_DEPTH > 2, "test relies on overriding the default") };
-        let mut root = RootNode::with_extra_quantiles(
+        let mut root = RootNode::new(
             Quantile::MEDIAN,
-            Vec::new(),
             EngineKind::Dema {
                 gamma: GammaMode::Fixed(2),
                 strategy: dema_core::selector::SelectionStrategy::WindowCut,
             },
             1,
-            4,
+            N,
             vec![Box::new(ctl_tx)],
             close_times(),
-            None,
-            2,
         );
         let mut windows: HashMap<u64, Vec<Slice>> = HashMap::new();
-        for w in 0u64..4 {
-            if w == 2 {
-                // Window 2 arrives empty.
-                root.handle(Message::SynopsisBatch {
-                    node: NodeId(0),
-                    window: WindowId(2),
-                    synopses: vec![],
-                })
-                .unwrap();
-                continue;
-            }
-            let vals: Vec<i64> = (0..6).map(|i| w as i64 * 10 + i).collect();
-            let slices =
-                dema_core::slice::cut_into_slices(NodeId(0), WindowId(w), events(&vals), 2)
-                    .unwrap();
-            let synopses = slices
-                .iter()
-                .map(|s| s.synopsis(slices.len() as u32).unwrap())
-                .collect();
-            windows.insert(w, slices);
+        for w in 0..N {
+            let synopses = if w == EMPTY {
+                vec![]
+            } else {
+                let vals: Vec<i64> = (0..6).map(|i| w as i64 * 10 + i).collect();
+                let slices =
+                    dema_core::slice::cut_into_slices(NodeId(0), WindowId(w), events(&vals), 2)
+                        .unwrap();
+                let synopses = slices
+                    .iter()
+                    .map(|s| s.synopsis(slices.len() as u32).unwrap())
+                    .collect();
+                windows.insert(w, slices);
+                synopses
+            };
             root.handle(Message::SynopsisBatch {
                 node: NodeId(0),
                 window: WindowId(w),
@@ -881,7 +868,7 @@ mod tests {
             })
             .unwrap();
         }
-        // Slots are full: nothing finalized yet, windows 2 and 3 queued.
+        // Slots are full: nothing finalized yet, the last two windows queued.
         assert_eq!(root.completed_windows(), 0);
 
         let next_request = |rx: &mut dema_net::mem::MemReceiver| match rx.recv().unwrap() {
@@ -902,31 +889,42 @@ mod tests {
                 .unwrap();
             };
 
-        // Only the first two windows hold stage-2 slots.
-        let (w0, req0) = next_request(&mut ctl_rx);
-        let (w1, req1) = next_request(&mut ctl_rx);
-        assert_eq!((w0, w1), (0, 1));
+        // Only the first PIPELINE_DEPTH windows hold stage-2 slots.
+        let requests: Vec<(u64, Vec<u32>)> = (0..PIPELINE_DEPTH)
+            .map(|_| next_request(&mut ctl_rx))
+            .collect();
+        assert_eq!(
+            requests.iter().map(|(w, _)| *w).collect::<Vec<_>>(),
+            (0..EMPTY).collect::<Vec<_>>()
+        );
         assert!(
             ctl_rx
                 .recv_timeout(std::time::Duration::from_millis(20))
                 .unwrap()
                 .is_none(),
-            "window 3 must wait for a free slot"
+            "window {} must wait for a free slot",
+            N - 1
         );
-        // Resolving window 0 admits window 2 — empty, finalized on the spot
-        // without taking a slot — and then window 3 into the freed slot.
-        reply(&mut root, &windows, 0, &req0);
+        // Resolving window 0 admits the empty window — finalized on the
+        // spot without taking a slot — and then the last window into the
+        // freed slot.
+        reply(&mut root, &windows, 0, &requests[0].1);
         assert_eq!(root.completed_windows(), 2);
-        let (w3, req3) = next_request(&mut ctl_rx);
-        assert_eq!(w3, 3);
-        reply(&mut root, &windows, 1, &req1);
-        reply(&mut root, &windows, 3, &req3);
-        assert_eq!(root.completed_windows(), 4);
+        let (last, req_last) = next_request(&mut ctl_rx);
+        assert_eq!(last, N - 1);
+        for (w, req) in &requests[1..] {
+            reply(&mut root, &windows, *w, req);
+        }
+        reply(&mut root, &windows, last, &req_last);
+        assert_eq!(root.completed_windows(), N);
         let (outcomes, _) = root.into_results();
         // Median rank 3 of w*10 + [0..6) is w*10 + 2.
+        let expected: Vec<Option<i64>> = (0..N)
+            .map(|w| (w != EMPTY).then_some(w as i64 * 10 + 2))
+            .collect();
         assert_eq!(
             outcomes.iter().map(|o| o.value).collect::<Vec<_>>(),
-            vec![Some(2), Some(12), None, Some(32)]
+            expected
         );
     }
 

@@ -552,7 +552,6 @@ fn run_cluster_inner(
             config: r,
             counters: Arc::clone(&fault_counters),
         }),
-        config.pipeline_depth,
     );
     if ledger.is_some() {
         root = root.with_membership(&config.membership)?;

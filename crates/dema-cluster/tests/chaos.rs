@@ -139,7 +139,9 @@ fn drop_matrix_exact_engines_recover_bit_identically() {
 
 /// Delay + duplication + reordering (no loss) must also be invisible:
 /// exact values, no degradation, and the duplicate-suppression counter
-/// proves the dups were caught rather than double-counted.
+/// proves the dups were caught rather than double-counted. The sketch
+/// engines answer bit-identically too: their root merges parts in node
+/// order, so reordered arrivals cannot change a digest.
 #[test]
 fn delay_dup_reorder_is_exact_with_duplicates_suppressed() {
     let seed = chaos_seed();
@@ -157,6 +159,9 @@ fn delay_dup_reorder_is_exact_with_duplicates_suppressed() {
             strategy: SelectionStrategy::WindowCut,
         },
         EngineKind::Centralized,
+        EngineKind::TdigestCentral { compression: 100.0 },
+        EngineKind::TdigestDistributed { compression: 100.0 },
+        EngineKind::KllDistributed { k: 256 },
     ] {
         let clean = run_clean(engine, &inputs);
         let mut cfg = ClusterConfig::baseline(engine, Quantile::MEDIAN);

@@ -5,6 +5,7 @@
 //! messages, and event counts all equal.
 
 use dema_cluster::config::{ClusterConfig, EngineKind, GammaMode};
+use dema_cluster::engines::REGISTRY;
 use dema_cluster::report::RunReport;
 use dema_cluster::runner::run_cluster;
 use dema_core::event::Event;
@@ -118,5 +119,37 @@ fn adaptive_gamma_stays_exact_across_thread_counts() {
             oa.total_events, ob.total_events,
             "adaptive: window {w} event count"
         );
+    }
+}
+
+#[test]
+fn every_registry_engine_answers_identically_across_repeated_runs() {
+    // Eight locals on four reactor shards: which local's summary reaches
+    // the root first varies from run to run. Sketch merges depend on the
+    // order they are fed, so the root must answer from a fixed (node)
+    // order, never from arrival order.
+    let inputs: Vec<Vec<Vec<Event>>> = (0..8)
+        .map(|i| SoccerGenerator::new(7 + i as u64, 1, 2_000, 0).take_windows(4, 1000))
+        .collect();
+    for d in &REGISTRY {
+        let mut config = ClusterConfig::baseline((d.example)(), Quantile::MEDIAN);
+        config.threads = Some(4);
+        let first = run_cluster(&config, inputs.clone()).unwrap();
+        for run in 1..5 {
+            let again = run_cluster(&config, inputs.clone()).unwrap();
+            assert_eq!(
+                again.values(),
+                first.values(),
+                "{}: run {run} values",
+                d.label
+            );
+            for (w, (oa, ob)) in first.outcomes.iter().zip(&again.outcomes).enumerate() {
+                assert_eq!(
+                    oa.total_events, ob.total_events,
+                    "{}: run {run} window {w} event count",
+                    d.label
+                );
+            }
+        }
     }
 }

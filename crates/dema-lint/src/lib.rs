@@ -69,7 +69,8 @@
 //!   itself (`dema-core/src/sync.rs`) is exempt.
 //! * **R14** — no blocking `.recv()` / `.recv_timeout(..)` in the
 //!   reactor-hosted runtime files (`dema-net/src/reactor.rs`,
-//!   `dema-cluster/src/runner.rs`, `dema-cluster/src/host.rs`). The
+//!   `dema-cluster/src/runner.rs`, `dema-cluster/src/host.rs`,
+//!   `dema-cluster/src/relay.rs`). The
 //!   reactor's source sweep is the only legal wait point there: a role
 //!   that blocks in a channel receive stalls every other role hosted on
 //!   the same thread and starves the timer wheel. Deliver messages as
@@ -608,10 +609,11 @@ fn check_r5(file: &SourceFile, violations: &mut Vec<Violation>) {
 /// Files the reactor runtime owns (rule R14): the event loop itself and
 /// the cluster layer that hosts roles on it. Every wait in these files
 /// must go through the reactor's source sweep or timer wheel.
-pub const R14_FILES: [&str; 3] = [
+pub const R14_FILES: [&str; 4] = [
     "dema-net/src/reactor.rs",
     "dema-cluster/src/runner.rs",
     "dema-cluster/src/host.rs",
+    "dema-cluster/src/relay.rs",
 ];
 
 /// R14: blocking channel receives in reactor-hosted runtime files. Both

@@ -1,4 +1,4 @@
-//! Fixture: R5 violation — the relay router blocks unboundedly.
+//! Fixture: R5 + R14 violation — the relay router blocks unboundedly.
 
 /// Forwards one envelope, never observing a severed peer.
 pub fn route_one(rx: &std::sync::mpsc::Receiver<u64>) -> Option<u64> {

@@ -89,7 +89,11 @@ fn violations_tree_fails_with_file_line_diagnostics() {
         "missing R14 diagnostic (host.rs recv_timeout)\n{stdout}"
     );
     assert!(
-        stdout.contains("13 new violation(s) [R1: 4, R14: 1, R2: 2, R3: 1, R4: 1, R5: 3, R9: 1]"),
+        stdout.contains("crates/dema-cluster/src/relay.rs:5: R14:"),
+        "missing R14 diagnostic (relay.rs recv)\n{stdout}"
+    );
+    assert!(
+        stdout.contains("14 new violation(s) [R1: 4, R14: 2, R2: 2, R3: 1, R4: 1, R5: 3, R9: 1]"),
         "summary should count violations per rule\n{stdout}"
     );
 }
@@ -109,7 +113,7 @@ fn baseline_suppresses_accepted_findings() {
         &["--baseline", baseline.to_str().expect("utf-8 path")],
     );
     assert_eq!(code, 0, "baselined tree must pass\n{stdout}");
-    assert!(stdout.contains("13 baselined finding(s)"), "{stdout}");
+    assert!(stdout.contains("14 baselined finding(s)"), "{stdout}");
 }
 
 /// Satellite: a baseline entry that no longer matches any finding is an

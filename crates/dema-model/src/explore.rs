@@ -332,7 +332,6 @@ impl<'a> System<'a> {
             control,
             close_times,
             resilience,
-            dema_cluster::root::PIPELINE_DEPTH,
         );
         let ledger = if cfg.membership.is_empty() {
             None

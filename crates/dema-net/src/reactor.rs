@@ -3,8 +3,7 @@
 //!
 //! The vendored dependency set has no `epoll`/`kqueue` shim, so readiness
 //! is *level-triggered polling*: every registered [`Source`] (an
-//! in-process channel, a scheduler-visible step queue, or a nonblocking
-//! TCP parser) exposes a cheap non-blocking poll, and the loop sweeps
+//! in-process channel or a nonblocking TCP parser) exposes a cheap non-blocking poll, and the loop sweeps
 //! them round-robin, draining each before moving on. Between idle sweeps
 //! the loop backs off (yield briefly, then sleep a few µs, bounded by the
 //! next timer deadline), so idle reactors cost near-nothing while busy ones run
@@ -30,7 +29,6 @@ use std::time::{Duration, Instant};
 use dema_metrics::ReactorStats;
 use dema_wire::Message;
 
-use crate::step::StepQueue;
 use crate::tcp::NbTcpReceiver;
 use crate::{MsgReceiver, NetError};
 
@@ -69,13 +67,6 @@ impl Source for RecvSource {
             Err(NetError::Disconnected) => Ok(Polled::Closed),
             Err(e) => Err(e),
         }
-    }
-}
-
-impl Source for StepQueue {
-    /// A step queue never disconnects — exhaustion is just [`Polled::Empty`].
-    fn poll(&mut self) -> Result<Polled, NetError> {
-        Ok(self.pop().map_or(Polled::Empty, Polled::Msg))
     }
 }
 
@@ -490,18 +481,5 @@ mod tests {
         };
         reactor.run::<NetError>(&mut [&mut probe]).unwrap();
         assert_eq!(probe.seen, vec!["wake", "wake"]);
-    }
-
-    #[test]
-    fn step_queue_is_a_source_without_disconnect() {
-        let (tx, q) = crate::step::step_link(NetworkCounters::new_shared());
-        let mut tx = tx;
-        tx.send(&Message::GammaUpdate { gamma: 9 }).unwrap();
-        let mut q = q;
-        assert!(matches!(q.poll(), Ok(Polled::Msg(_))));
-        assert!(matches!(q.poll(), Ok(Polled::Empty)));
-        drop(tx);
-        // Still just Empty: step links have no disconnect signal.
-        assert!(matches!(q.poll(), Ok(Polled::Empty)));
     }
 }

@@ -134,4 +134,15 @@ mod tests {
         tx2.send(&Message::GammaUpdate { gamma: 9 }).unwrap();
         assert_eq!(q.pop(), Some(Message::GammaUpdate { gamma: 9 }));
     }
+
+    #[test]
+    fn pop_has_no_disconnect_signal() {
+        let (mut tx, q) = step_link(NetworkCounters::new_shared());
+        tx.send(&Message::GammaUpdate { gamma: 9 }).unwrap();
+        drop(tx);
+        // The queued message survives its sender; after it, the queue is
+        // just empty — a step link never reports a disconnect.
+        assert_eq!(q.pop(), Some(Message::GammaUpdate { gamma: 9 }));
+        assert_eq!(q.pop(), None);
+    }
 }

@@ -1,6 +1,5 @@
 //! Protocol messages and their binary encoding.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use dema_core::event::{Event, NodeId, WindowId};
 use dema_core::shared::SharedRun;
 use dema_core::slice::{SliceId, SliceSynopsis};
@@ -331,7 +330,7 @@ pub fn tag_by_name(name: &str) -> Option<TagInfo> {
 
 impl Message {
     /// The wire tag byte this message encodes with — always the first byte
-    /// of [`Message::encode`] output.
+    /// of [`Message::encode_into`] output.
     pub fn tag(&self) -> u8 {
         match self {
             Message::SynopsisBatch { .. } => TAG_SYNOPSIS_BATCH,
@@ -362,22 +361,15 @@ impl Message {
         }
     }
 
-    /// Encode into `buf`. The encoding is deterministic; `encoded_len`
-    /// predicts the exact size.
-    pub fn encode(&self, buf: &mut BytesMut) {
-        buf.reserve(self.encoded_len());
-        self.encode_impl(buf);
-    }
-
-    /// Encode into a caller-provided plain `Vec<u8>` (appending), e.g. a
-    /// buffer drawn from [`crate::pool::BufferPool`]. Produces exactly the
-    /// same bytes as [`Message::encode`].
+    /// Encode into `buf` (appending), e.g. a buffer drawn from
+    /// [`crate::pool::BufferPool`]. The encoding is deterministic;
+    /// [`Message::encoded_len`] predicts the exact size.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         buf.reserve(self.encoded_len());
         self.encode_impl(buf);
     }
 
-    fn encode_impl<B: BufMut>(&self, buf: &mut B) {
+    fn encode_impl(&self, buf: &mut Vec<u8>) {
         match self {
             Message::SynopsisBatch {
                 node,
@@ -560,7 +552,7 @@ impl Message {
         }
     }
 
-    /// Exact size [`Message::encode`] will produce, in bytes.
+    /// Exact size [`Message::encode_into`] will append, in bytes.
     pub fn encoded_len(&self) -> usize {
         match self {
             Message::SynopsisBatch { synopses, .. } => {
@@ -595,14 +587,14 @@ impl Message {
     }
 
     /// Encode into a fresh buffer.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.encoded_len());
-        self.encode(&mut buf);
-        buf.freeze()
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
     }
 
     /// Decode one message from `buf`, which must contain exactly one
-    /// encoded message (as produced by [`Message::encode`]).
+    /// encoded message (as produced by [`Message::encode_into`]).
     pub fn decode(mut buf: &[u8]) -> Result<Message, WireError> {
         let msg = decode_inner(&mut buf, true)?;
         if !buf.is_empty() {
@@ -650,13 +642,70 @@ impl Message {
     }
 }
 
+/// Little-endian field writers for the encoder.
+trait PutLe {
+    fn put_u8(&mut self, v: u8);
+    fn put_u32_le(&mut self, v: u32);
+    fn put_u64_le(&mut self, v: u64);
+    fn put_i64_le(&mut self, v: i64);
+    fn put_f64_le(&mut self, v: f64);
+}
+
+impl PutLe for Vec<u8> {
+    fn put_u8(&mut self, v: u8) {
+        self.push(v);
+    }
+    fn put_u32_le(&mut self, v: u32) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+    fn put_u64_le(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+    fn put_i64_le(&mut self, v: i64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+    fn put_f64_le(&mut self, v: f64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
+/// Little-endian field readers for the decoder. Each consumes its field
+/// from the front of the slice, or fails with [`WireError::Truncated`]
+/// when the slice is too short.
+trait GetLe {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], WireError>;
+    fn get_u8(&mut self) -> Result<u8, WireError> {
+        self.take().map(u8::from_le_bytes)
+    }
+    fn get_u32_le(&mut self) -> Result<u32, WireError> {
+        self.take().map(u32::from_le_bytes)
+    }
+    fn get_u64_le(&mut self) -> Result<u64, WireError> {
+        self.take().map(u64::from_le_bytes)
+    }
+    fn get_i64_le(&mut self) -> Result<i64, WireError> {
+        self.take().map(i64::from_le_bytes)
+    }
+    fn get_f64_le(&mut self) -> Result<f64, WireError> {
+        self.take().map(f64::from_le_bytes)
+    }
+}
+
+impl GetLe for &[u8] {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let (head, rest) = self.split_first_chunk::<N>().ok_or(WireError::Truncated)?;
+        *self = rest;
+        Ok(*head)
+    }
+}
+
 /// Bytes per encoded event.
 pub const EVENT_LEN: usize = 8 + 8 + 8;
 
 /// Events per block of the strided batch codec: 64 events fill a 1536-byte
 /// stack buffer — small enough to stay cache-hot, large enough that the
-/// fill loop autovectorizes and the generic [`BufMut`] machinery is paid
-/// once per block instead of three times per event.
+/// fill loop autovectorizes and the buffer append is paid once per block
+/// instead of three times per event.
 const EVENT_BLOCK: usize = 64;
 
 /// Encode a batch of events in fixed-stride blocks.
@@ -666,7 +715,7 @@ const EVENT_BLOCK: usize = 64;
 /// same 24-byte little-endian record, only the write granularity changes
 /// (one `put_slice` per block). The frame-level golden test below pins the
 /// equivalence.
-fn put_events<B: BufMut>(buf: &mut B, events: &[Event]) {
+fn put_events(buf: &mut Vec<u8>, events: &[Event]) {
     let mut block = [0u8; EVENT_BLOCK * EVENT_LEN];
     for chunk in events.chunks(EVENT_BLOCK) {
         for (rec, e) in block.chunks_exact_mut(EVENT_LEN).zip(chunk) {
@@ -674,7 +723,7 @@ fn put_events<B: BufMut>(buf: &mut B, events: &[Event]) {
             rec[8..16].copy_from_slice(&e.ts.to_le_bytes());
             rec[16..24].copy_from_slice(&e.id.to_le_bytes());
         }
-        buf.put_slice(&block[..chunk.len() * EVENT_LEN]);
+        buf.extend_from_slice(&block[..chunk.len() * EVENT_LEN]);
     }
 }
 
@@ -714,8 +763,7 @@ fn need(buf: &&[u8], n: usize) -> Result<(), WireError> {
 }
 
 fn take_count(buf: &mut &[u8]) -> Result<usize, WireError> {
-    need(buf, 4)?;
-    let n = buf.get_u32_le() as u64;
+    let n = u64::from(buf.get_u32_le()?);
     if n > MAX_ELEMS {
         return Err(WireError::BadLength(n));
     }
@@ -739,22 +787,19 @@ fn validated_count(buf: &&[u8], n: usize, record_len: usize) -> Result<usize, Wi
 
 // hot-path: codec
 fn decode_inner(buf: &mut &[u8], allow_routed: bool) -> Result<Message, WireError> {
-    need(buf, 1)?;
-    let tag = buf.get_u8();
+    let tag = buf.get_u8()?;
     match tag {
         TAG_SYNOPSIS_BATCH => {
-            need(buf, 4 + 8)?;
-            let node = NodeId(buf.get_u32_le());
-            let window = WindowId(buf.get_u64_le());
+            let node = NodeId(buf.get_u32_le()?);
+            let window = WindowId(buf.get_u64_le()?);
             let n = take_count(buf)?;
             let mut synopses = Vec::with_capacity(validated_count(buf, n, 4 + 8 + 8 + 8 + 4)?);
             for _ in 0..n {
-                need(buf, 4 + 8 + 8 + 8 + 4)?;
-                let index = buf.get_u32_le();
-                let first = buf.get_i64_le();
-                let last = buf.get_i64_le();
-                let count = buf.get_u64_le();
-                let total_slices = buf.get_u32_le();
+                let index = buf.get_u32_le()?;
+                let first = buf.get_i64_le()?;
+                let last = buf.get_i64_le()?;
+                let count = buf.get_u64_le()?;
+                let total_slices = buf.get_u32_le()?;
                 synopses.push(SliceSynopsis {
                     id: SliceId {
                         node,
@@ -774,27 +819,23 @@ fn decode_inner(buf: &mut &[u8], allow_routed: bool) -> Result<Message, WireErro
             })
         }
         TAG_CANDIDATE_REQUEST => {
-            need(buf, 8)?;
-            let window = WindowId(buf.get_u64_le());
+            let window = WindowId(buf.get_u64_le()?);
             let n = take_count(buf)?;
             let mut slices = Vec::with_capacity(validated_count(buf, n, 4)?);
             for _ in 0..n {
-                need(buf, 4)?;
-                slices.push(buf.get_u32_le());
+                slices.push(buf.get_u32_le()?);
             }
             Ok(Message::CandidateRequest { window, slices })
         }
         TAG_CANDIDATE_REPLY => {
-            need(buf, 4 + 8)?;
-            let node = NodeId(buf.get_u32_le());
-            let window = WindowId(buf.get_u64_le());
+            let node = NodeId(buf.get_u32_le()?);
+            let window = WindowId(buf.get_u64_le()?);
             let n = take_count(buf)?;
             // Variable-length records: validate against the 8-byte floor
             // (slice index + event count) every record must carry.
             let mut slices = Vec::with_capacity(validated_count(buf, n, 4 + 4)?);
             for _ in 0..n {
-                need(buf, 4)?;
-                let idx = buf.get_u32_le();
+                let idx = buf.get_u32_le()?;
                 let m = take_count(buf)?;
                 slices.push((idx, SharedRun::from_vec(take_events(buf, m)?)));
             }
@@ -805,10 +846,9 @@ fn decode_inner(buf: &mut &[u8], allow_routed: bool) -> Result<Message, WireErro
             })
         }
         TAG_EVENT_BATCH => {
-            need(buf, 4 + 8 + 1)?;
-            let node = NodeId(buf.get_u32_le());
-            let window = WindowId(buf.get_u64_le());
-            let sorted = buf.get_u8() != 0;
+            let node = NodeId(buf.get_u32_le()?);
+            let window = WindowId(buf.get_u64_le()?);
+            let sorted = buf.get_u8()? != 0;
             let n = take_count(buf)?;
             let events = take_events(buf, n)?;
             Ok(Message::EventBatch {
@@ -819,17 +859,15 @@ fn decode_inner(buf: &mut &[u8], allow_routed: bool) -> Result<Message, WireErro
             })
         }
         TAG_DIGEST_BATCH => {
-            need(buf, 4 + 8 + 8 + 8)?;
-            let node = NodeId(buf.get_u32_le());
-            let window = WindowId(buf.get_u64_le());
-            let count = buf.get_u64_le();
-            let compression = buf.get_f64_le();
+            let node = NodeId(buf.get_u32_le()?);
+            let window = WindowId(buf.get_u64_le()?);
+            let count = buf.get_u64_le()?;
+            let compression = buf.get_f64_le()?;
             let n = take_count(buf)?;
             let mut centroids = Vec::with_capacity(validated_count(buf, n, 16)?);
             for _ in 0..n {
-                need(buf, 16)?;
-                let mean = buf.get_f64_le();
-                let weight = buf.get_u64_le();
+                let mean = buf.get_f64_le()?;
+                let weight = buf.get_u64_le()?;
                 centroids.push(Centroid { mean, weight });
             }
             Ok(Message::DigestBatch {
@@ -840,40 +878,29 @@ fn decode_inner(buf: &mut &[u8], allow_routed: bool) -> Result<Message, WireErro
                 centroids,
             })
         }
-        TAG_GAMMA_UPDATE => {
-            need(buf, 8)?;
-            Ok(Message::GammaUpdate {
-                gamma: buf.get_u64_le(),
-            })
-        }
-        TAG_WINDOW_RESULT => {
-            need(buf, 8 + 8 + 8)?;
-            Ok(Message::WindowResult {
-                window: WindowId(buf.get_u64_le()),
-                value: buf.get_i64_le(),
-                total_events: buf.get_u64_le(),
-            })
-        }
-        TAG_STREAM_END => {
-            need(buf, 4 + 8)?;
-            Ok(Message::StreamEnd {
-                node: NodeId(buf.get_u32_le()),
-                late_events: buf.get_u64_le(),
-            })
-        }
+        TAG_GAMMA_UPDATE => Ok(Message::GammaUpdate {
+            gamma: buf.get_u64_le()?,
+        }),
+        TAG_WINDOW_RESULT => Ok(Message::WindowResult {
+            window: WindowId(buf.get_u64_le()?),
+            value: buf.get_i64_le()?,
+            total_events: buf.get_u64_le()?,
+        }),
+        TAG_STREAM_END => Ok(Message::StreamEnd {
+            node: NodeId(buf.get_u32_le()?),
+            late_events: buf.get_u64_le()?,
+        }),
         TAG_SKETCH_BATCH => {
-            need(buf, 4 + 8 + 8 + 8 + 8)?;
-            let node = NodeId(buf.get_u32_le());
-            let window = WindowId(buf.get_u64_le());
-            let count = buf.get_u64_le();
-            let min = buf.get_f64_le();
-            let max = buf.get_f64_le();
+            let node = NodeId(buf.get_u32_le()?);
+            let window = WindowId(buf.get_u64_le()?);
+            let count = buf.get_u64_le()?;
+            let min = buf.get_f64_le()?;
+            let max = buf.get_f64_le()?;
             let n = take_count(buf)?;
             let mut items = Vec::with_capacity(validated_count(buf, n, 16)?);
             for _ in 0..n {
-                need(buf, 16)?;
-                let v = buf.get_f64_le();
-                let w = buf.get_u64_le();
+                let v = buf.get_f64_le()?;
+                let w = buf.get_u64_le()?;
                 items.push((v, w));
             }
             Ok(Message::SketchBatch {
@@ -887,22 +914,17 @@ fn decode_inner(buf: &mut &[u8], allow_routed: bool) -> Result<Message, WireErro
         }
         // An envelope inside an envelope is corruption, not topology: relays
         // forward a routed frame unchanged, they never re-wrap it.
-        TAG_RESEND_WINDOW => {
-            need(buf, 8 + 4)?;
-            Ok(Message::ResendWindow {
-                window: WindowId(buf.get_u64_le()),
-                attempt: buf.get_u32_le(),
-            })
-        }
+        TAG_RESEND_WINDOW => Ok(Message::ResendWindow {
+            window: WindowId(buf.get_u64_le()?),
+            attempt: buf.get_u32_le()?,
+        }),
         TAG_CANDIDATE_RETRY => {
-            need(buf, 8 + 4)?;
-            let window = WindowId(buf.get_u64_le());
-            let attempt = buf.get_u32_le();
+            let window = WindowId(buf.get_u64_le()?);
+            let attempt = buf.get_u32_le()?;
             let n = take_count(buf)?;
             let mut slices = Vec::with_capacity(validated_count(buf, n, 4)?);
             for _ in 0..n {
-                need(buf, 4)?;
-                slices.push(buf.get_u32_le());
+                slices.push(buf.get_u32_le()?);
             }
             Ok(Message::CandidateRetry {
                 window,
@@ -910,51 +932,36 @@ fn decode_inner(buf: &mut &[u8], allow_routed: bool) -> Result<Message, WireErro
                 attempt,
             })
         }
-        TAG_JOIN_REQUEST => {
-            need(buf, 4 + 8)?;
-            Ok(Message::JoinRequest {
-                node: NodeId(buf.get_u32_le()),
-                window: WindowId(buf.get_u64_le()),
-            })
-        }
-        TAG_JOIN_ACCEPT => {
-            need(buf, 4 + 8 + 8 + 8)?;
-            Ok(Message::JoinAccept {
-                node: NodeId(buf.get_u32_le()),
-                epoch: buf.get_u64_le(),
-                window: WindowId(buf.get_u64_le()),
-                gamma: buf.get_u64_le(),
-            })
-        }
-        TAG_LEAVE_ANNOUNCE => {
-            need(buf, 4 + 8)?;
-            Ok(Message::LeaveAnnounce {
-                node: NodeId(buf.get_u32_le()),
-                window: WindowId(buf.get_u64_le()),
-            })
-        }
-        TAG_DRAIN_COMPLETE => {
-            need(buf, 4 + 8)?;
-            Ok(Message::DrainComplete {
-                node: NodeId(buf.get_u32_le()),
-                epoch: buf.get_u64_le(),
-            })
-        }
+        TAG_JOIN_REQUEST => Ok(Message::JoinRequest {
+            node: NodeId(buf.get_u32_le()?),
+            window: WindowId(buf.get_u64_le()?),
+        }),
+        TAG_JOIN_ACCEPT => Ok(Message::JoinAccept {
+            node: NodeId(buf.get_u32_le()?),
+            epoch: buf.get_u64_le()?,
+            window: WindowId(buf.get_u64_le()?),
+            gamma: buf.get_u64_le()?,
+        }),
+        TAG_LEAVE_ANNOUNCE => Ok(Message::LeaveAnnounce {
+            node: NodeId(buf.get_u32_le()?),
+            window: WindowId(buf.get_u64_le()?),
+        }),
+        TAG_DRAIN_COMPLETE => Ok(Message::DrainComplete {
+            node: NodeId(buf.get_u32_le()?),
+            epoch: buf.get_u64_le()?,
+        }),
         TAG_EPOCH_SWITCH => {
-            need(buf, 8 + 8)?;
-            let epoch = buf.get_u64_le();
-            let window = WindowId(buf.get_u64_le());
+            let epoch = buf.get_u64_le()?;
+            let window = WindowId(buf.get_u64_le()?);
             let n = take_count(buf)?;
             let mut joined = Vec::with_capacity(validated_count(buf, n, 4)?);
             for _ in 0..n {
-                need(buf, 4)?;
-                joined.push(NodeId(buf.get_u32_le()));
+                joined.push(NodeId(buf.get_u32_le()?));
             }
             let m = take_count(buf)?;
             let mut left = Vec::with_capacity(validated_count(buf, m, 4)?);
             for _ in 0..m {
-                need(buf, 4)?;
-                left.push(NodeId(buf.get_u32_le()));
+                left.push(NodeId(buf.get_u32_le()?));
             }
             Ok(Message::EpochSwitch {
                 epoch,
@@ -964,8 +971,7 @@ fn decode_inner(buf: &mut &[u8], allow_routed: bool) -> Result<Message, WireErro
             })
         }
         TAG_ROUTED if allow_routed => {
-            need(buf, 4)?;
-            let dest = NodeId(buf.get_u32_le());
+            let dest = NodeId(buf.get_u32_le()?);
             let inner = decode_inner(buf, false)?;
             Ok(Message::Routed {
                 dest,
@@ -1006,7 +1012,7 @@ mod tests {
     /// below is the retired implementation, kept verbatim.
     #[test]
     fn strided_event_codec_is_bit_identical_to_per_field_codec() {
-        fn put_event_reference<B: BufMut>(buf: &mut B, e: &Event) {
+        fn put_event_reference(buf: &mut Vec<u8>, e: &Event) {
             buf.put_i64_le(e.value);
             buf.put_u64_le(e.ts);
             buf.put_u64_le(e.id);
@@ -1029,7 +1035,7 @@ mod tests {
             ],
         };
 
-        let mut expect = BytesMut::new();
+        let mut expect = Vec::new();
         expect.put_u8(TAG_EVENT_BATCH);
         expect.put_u32_le(3);
         expect.put_u64_le(9);
@@ -1038,9 +1044,9 @@ mod tests {
         for e in &events {
             put_event_reference(&mut expect, e);
         }
-        assert_eq!(batch.to_bytes(), expect.freeze());
+        assert_eq!(batch.to_bytes(), expect);
 
-        let mut expect = BytesMut::new();
+        let mut expect = Vec::new();
         expect.put_u8(TAG_CANDIDATE_REPLY);
         expect.put_u32_le(3);
         expect.put_u64_le(9);
@@ -1052,7 +1058,7 @@ mod tests {
                 put_event_reference(&mut expect, e);
             }
         }
-        assert_eq!(reply.to_bytes(), expect.freeze());
+        assert_eq!(reply.to_bytes(), expect);
 
         // And the strided decoder inverts it.
         roundtrip(batch);
@@ -1512,7 +1518,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_trailing_garbage() {
-        let mut bytes = Message::GammaUpdate { gamma: 5 }.to_bytes().to_vec();
+        let mut bytes = Message::GammaUpdate { gamma: 5 }.to_bytes();
         bytes.push(0);
         assert!(matches!(
             Message::decode(&bytes),
@@ -1522,7 +1528,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_implausible_count() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u8(4); // EventBatch
         buf.put_u32_le(0);
         buf.put_u64_le(0);
@@ -1548,7 +1554,7 @@ mod tests {
             (TAG_DIGEST_BATCH, &[4, 8, 8, 8][..]),    // node, window, count, δ
             (TAG_SKETCH_BATCH, &[4, 8, 8, 8, 8][..]), // node, window, count, min, max
         ] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             buf.put_u8(tag);
             for width in prefix {
                 match width {
@@ -1565,7 +1571,7 @@ mod tests {
         }
         // EpochSwitch: both the joined and the left list count.
         for lie_in_left in [false, true] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             buf.put_u8(TAG_EPOCH_SWITCH);
             buf.put_u64_le(1); // epoch
             buf.put_u64_le(1); // window
@@ -1579,7 +1585,7 @@ mod tests {
             assert_eq!(Message::decode(&buf), Err(WireError::Truncated));
         }
         // CandidateRetry carries its count after the attempt epoch.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u8(TAG_CANDIDATE_RETRY);
         buf.put_u64_le(1); // window
         buf.put_u32_le(1); // attempt
@@ -1627,7 +1633,7 @@ mod tests {
     }
 
     #[test]
-    fn encode_into_vec_matches_bytesmut_encoding() {
+    fn encode_into_appends_the_to_bytes_encoding() {
         let msgs = [
             Message::CandidateReply {
                 node: NodeId(1),
@@ -1643,8 +1649,7 @@ mod tests {
             Message::GammaUpdate { gamma: 77 },
         ];
         for msg in msgs {
-            let mut reference = BytesMut::new();
-            msg.encode(&mut reference);
+            let reference = msg.to_bytes();
             let mut pooled = vec![0xAAu8; 3]; // pre-existing content is appended to
             msg.encode_into(&mut pooled);
             assert_eq!(&pooled[..3], &[0xAA; 3]);

@@ -133,7 +133,7 @@ proptest! {
 
     #[test]
     fn bitflips_never_panic(msg in arb_message(), pos_frac in 0.0f64..1.0, bit in 0u8..8) {
-        let bytes = msg.to_bytes().to_vec();
+        let bytes = msg.to_bytes();
         if !bytes.is_empty() {
             let mut corrupted = bytes.clone();
             let pos = ((bytes.len() as f64) * pos_frac) as usize % bytes.len();

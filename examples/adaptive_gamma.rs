@@ -38,7 +38,6 @@ fn main() {
         resilience: None,
         faults: Vec::new(),
         threads: None,
-        pipeline_depth: dema::cluster::root::PIPELINE_DEPTH,
         membership: dema::cluster::config::MembershipPlan::default(),
     };
     let report = run_cluster(&config, inputs).expect("cluster run failed");
