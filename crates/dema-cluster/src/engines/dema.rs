@@ -216,6 +216,28 @@ pub struct DemaRoot {
 }
 
 impl DemaRoot {
+    /// Send `msg` down local `node`'s control link. A resilient run
+    /// forgives a torn-down link (the liveness budget judges the node
+    /// instead); a seed run fails on it. A node without a control link is
+    /// a protocol error. Takes the links rather than `self` so callers can
+    /// hold borrows of other fields (window state, γ controllers) across it.
+    fn send_control_on(
+        control: &mut [Box<dyn MsgSender>],
+        resilient: bool,
+        node: u32,
+        msg: &Message,
+    ) -> Result<(), ClusterError> {
+        let link = control
+            .get_mut(u64_to_usize(u64::from(node)))
+            .ok_or_else(|| ClusterError::Protocol(format!("no control link for n{node}")))?;
+        if resilient {
+            retry::send_lossy(link.as_mut(), msg)?;
+        } else {
+            link.send(msg)?;
+        }
+        Ok(())
+    }
+
     /// Build the root half from the γ mode, selector, and shell params.
     pub fn new(gamma: GammaMode, strategy: SelectionStrategy, params: RootParams) -> DemaRoot {
         let gamma = match gamma {
@@ -389,19 +411,11 @@ impl DemaRoot {
             if state.dead_at_identify.contains(node) {
                 continue;
             }
-            let link = self
-                .control
-                .get_mut(u64_to_usize(u64::from(*node)))
-                .ok_or_else(|| ClusterError::Protocol(format!("no control link for n{node}")))?;
             let msg = Message::CandidateRequest {
                 window,
                 slices: slices.clone(),
             };
-            if resilient {
-                retry::send_lossy(link.as_mut(), &msg)?;
-            } else {
-                link.send(&msg)?;
-            }
+            Self::send_control_on(&mut self.control, resilient, *node, &msg)?;
         }
         self.in_flight += 1; // stage-2 slot held until the window finalizes
         if let Some(sup) = self.sup.as_mut() {
@@ -634,16 +648,12 @@ impl DemaRoot {
                     let before = ctl.current();
                     let next = ctl.observe_checked(total, m).map_err(ClusterError::Core)?;
                     if next != before {
-                        for (n, link) in self.control.iter_mut().enumerate() {
-                            if self.departed.contains(&len_to_u32(n)) {
+                        let msg = Message::GammaUpdate { gamma: next };
+                        for n in 0..len_to_u32(self.control.len()) {
+                            if self.departed.contains(&n) {
                                 continue; // drained: its responder retired
                             }
-                            let msg = Message::GammaUpdate { gamma: next };
-                            if resilient {
-                                retry::send_lossy(link.as_mut(), &msg)?;
-                            } else {
-                                link.send(&msg)?;
-                            }
+                            Self::send_control_on(&mut self.control, resilient, n, &msg)?;
                         }
                     }
                 }
@@ -660,15 +670,13 @@ impl DemaRoot {
                         let before = ctl.current();
                         let next = ctl.observe_checked(l_i, m_i).map_err(ClusterError::Core)?;
                         if next != before {
-                            let link = self.control.get_mut(n).ok_or_else(|| {
-                                ClusterError::Protocol(format!("no control link for n{n}"))
-                            })?;
                             let msg = Message::GammaUpdate { gamma: next };
-                            if resilient {
-                                retry::send_lossy(link.as_mut(), &msg)?;
-                            } else {
-                                link.send(&msg)?;
-                            }
+                            Self::send_control_on(
+                                &mut self.control,
+                                resilient,
+                                len_to_u32(n),
+                                &msg,
+                            )?;
                         }
                     }
                 }
@@ -964,15 +972,10 @@ impl RootEngine for DemaRoot {
     }
 
     fn send_control(&mut self, node: u32, msg: &Message) -> Result<bool, ClusterError> {
-        let resilient = self.sup.is_some();
-        let Some(link) = self.control.get_mut(u64_to_usize(u64::from(node))) else {
+        if u64_to_usize(u64::from(node)) >= self.control.len() {
             return Ok(false);
-        };
-        if resilient {
-            retry::send_lossy(link.as_mut(), msg)?;
-        } else {
-            link.send(msg)?;
         }
+        Self::send_control_on(&mut self.control, self.sup.is_some(), node, msg)?;
         Ok(true)
     }
 

@@ -563,8 +563,7 @@ mod tests {
     use dema_core::selector::SelectionStrategy;
     use dema_metrics::{NetworkCounters, ReactorStats};
     use dema_net::mem::link;
-    use dema_net::reactor::{Reactor, RecvSource};
-    use dema_net::MsgReceiver;
+    use dema_net::reactor::Reactor;
 
     fn events(vals: &[i64]) -> Vec<Event> {
         vals.iter()
@@ -610,7 +609,7 @@ mod tests {
                 ResponderRole::new(NodeId(0), &shared),
                 vec![Box::new(resp_tx)],
             );
-            reactor.register(1, 0, Box::new(RecvSource(Box::new(ctl_rx))));
+            reactor.register(1, 0, Box::new(ctl_rx));
             let mut handlers: Vec<&mut dyn Handler<ClusterError>> =
                 vec![&mut local_host, &mut resp_host];
             reactor.run(&mut handlers).unwrap();
@@ -631,8 +630,8 @@ mod tests {
         );
         let mut reactor = Reactor::new(ReactorStats::new_shared());
         let mut root_host = RoleHost::new(RootRole::new(root), Vec::new());
-        reactor.register(0, 0, Box::new(RecvSource(Box::new(up_rx))));
-        reactor.register(0, 1, Box::new(RecvSource(Box::new(resp_rx))));
+        reactor.register(0, 0, Box::new(up_rx));
+        reactor.register(0, 1, Box::new(resp_rx));
         {
             let mut handlers: Vec<&mut dyn Handler<ClusterError>> = vec![&mut root_host];
             reactor.run(&mut handlers).unwrap();

@@ -278,7 +278,6 @@ mod tests {
     use dema_core::selector::SelectionStrategy;
     use dema_metrics::NetworkCounters;
     use dema_net::mem::link;
-    use dema_net::MsgReceiver;
     use std::sync::atomic::Ordering;
 
     fn events(vals: &[i64]) -> Vec<Event> {

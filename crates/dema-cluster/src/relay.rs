@@ -175,7 +175,6 @@ mod tests {
     use dema_core::sync::rank;
     use dema_metrics::NetworkCounters;
     use dema_net::mem::link;
-    use dema_net::MsgReceiver;
 
     #[test]
     fn routed_sender_wraps_every_message() {

@@ -25,7 +25,7 @@ use dema_core::sync::{rank, Mutex};
 use dema_metrics::{FaultCounters, NetworkCounters, NetworkSnapshot, ReactorStats};
 use dema_net::fault::FaultPlan;
 use dema_net::mem::{link, throttled_link, Throttle};
-use dema_net::reactor::{spawn_shard, Handler, Reactor, RecvSource};
+use dema_net::reactor::{spawn_shard, Handler, Reactor};
 use dema_net::tcp::{accept, listen, TcpSender};
 use dema_net::{MsgReceiver, MsgSender, NetError, SharedCounters};
 
@@ -559,7 +559,7 @@ fn run_cluster_inner(
     let mut root_reactor = Reactor::new(Arc::clone(&reactor_stats));
     let mut root_host = RoleHost::new(RootRole::new(root), Vec::new());
     for (i, rx) in root_rx.into_iter().enumerate() {
-        root_reactor.register(0, i, Box::new(RecvSource(rx)));
+        root_reactor.register(0, i, rx);
     }
     {
         let mut handlers: Vec<&mut dyn Handler<ClusterError>> = vec![&mut root_host];
@@ -734,7 +734,7 @@ fn run_shard(
             vec![spec.up],
         ));
         if let Some((ctl_rx, resp_up)) = spec.responder {
-            reactor.register(hosts.len(), 0, Box::new(RecvSource(ctl_rx)));
+            reactor.register(hosts.len(), 0, ctl_rx);
             hosts.push(RoleHost::new(
                 Box::new(ResponderRole::new(node, shared)) as Box<dyn Stepper + '_>,
                 vec![resp_up],
@@ -745,11 +745,11 @@ fn run_shard(
         let handler = hosts.len();
         let n_ups = spec.ups.len();
         for (i, rx) in spec.ups.into_iter().enumerate() {
-            reactor.register(handler, i, Box::new(RecvSource(rx)));
+            reactor.register(handler, i, rx);
         }
         let has_down = spec.parent_down.is_some();
         if let Some(down) = spec.parent_down {
-            reactor.register(handler, n_ups, Box::new(RecvSource(down)));
+            reactor.register(handler, n_ups, down);
         }
         hosts.push(RoleHost::new(
             Box::new(RelayRole::new(n_ups, spec.routes, has_down)) as Box<dyn Stepper + '_>,
@@ -765,18 +765,6 @@ fn run_shard(
         return vec![e];
     }
     hosts.iter_mut().filter_map(RoleHost::take_error).collect()
-}
-
-/// Convenience: run the same inputs through a second engine and return both
-/// reports (used by accuracy experiments that need identical inputs).
-pub fn run_pair(
-    a: &ClusterConfig,
-    b: &ClusterConfig,
-    inputs: &[Vec<Vec<Event>>],
-) -> Result<(RunReport, RunReport), ClusterError> {
-    let ra = run_cluster(a, inputs.to_vec())?;
-    let rb = run_cluster(b, inputs.to_vec())?;
-    Ok((ra, rb))
 }
 
 /// Aggregate helper: total data-plane traffic of a report.

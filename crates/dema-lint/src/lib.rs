@@ -85,10 +85,11 @@
 //!   window and breaks the zero-alloc steady-state gate
 //!   (`dema_core::alloc::AllocGate`). `SharedRun` clones are refcount
 //!   bumps and exempt; deleting a mandated marker is itself a finding.
-//! * **R16** *(alloc mode)* — frame encode/decode files draw scratch from
-//!   `dema_wire::pool::BufferPool`: ad-hoc `vec![..]` payload buffers,
-//!   pool-bypassing `.to_bytes(..)` helpers, and min-clamped capacities
-//!   in the framing files allocate per frame.
+//! * **R16** *(alloc mode)* — frame encode/decode files reuse their frame
+//!   buffers (a connection's outbound/inbound buffer, or scratch from
+//!   `dema_wire::pool::BufferPool`): ad-hoc `vec![..]` payload buffers,
+//!   `.to_bytes(..)` helpers that bypass `encode_frame_into`, and
+//!   min-clamped capacities in the framing files allocate per frame.
 //! * **R17** *(alloc mode)* — channel/send paths in `dema-cluster` /
 //!   `dema-net` must not copy `SharedRun` payload bytes: `.to_vec()` on a
 //!   declared SharedRun name re-copies the window payload per hop; ship
@@ -1393,9 +1394,9 @@ pub const HOT_PATH_REGIONS: [(&str, &str); 8] = [
     ("dema-cluster/src/engines/retry.rs", "supervisor-tick"),
 ];
 
-/// Files whose frame encode/decode must draw buffers from
-/// `dema-wire::pool` (R16): ad-hoc `vec![..]` payload buffers or
-/// pool-bypassing `.to_bytes(..)` helpers there allocate per frame.
+/// Files whose frame encode/decode must reuse its buffers (R16): ad-hoc
+/// `vec![..]` payload buffers or `.to_bytes(..)` helpers there allocate
+/// per frame.
 pub const R16_FILES: [&str; 3] = [
     "dema-wire/src/frame.rs",
     "dema-net/src/tcp.rs",
@@ -1667,9 +1668,9 @@ fn check_r15(
     }
 }
 
-/// R16: frame encode/decode files draw buffers from `dema-wire::pool`.
-/// Needles are ad-hoc `vec![..]` payload buffers, pool-bypassing
-/// `.to_bytes(..)` helpers, and the min-clamped `with_capacity` caps.
+/// R16: frame encode/decode files reuse their buffers. Needles are ad-hoc
+/// `vec![..]` payload buffers, `.to_bytes(..)` helpers that bypass
+/// `encode_frame_into`, and the min-clamped `with_capacity` caps.
 fn check_r16(file: &SourceFile, violations: &mut Vec<Violation>) {
     if file.test_by_path || !R16_FILES.iter().any(|f| file.rel.ends_with(f)) {
         return;
@@ -1679,15 +1680,16 @@ fn check_r16(file: &SourceFile, violations: &mut Vec<Violation>) {
         (
             "vec![",
             "vec!",
-            "builds a per-frame buffer with `vec![..]` instead of \
-             `pool.acquire()` — every frame pays an allocator round-trip",
+            "builds a per-frame buffer with `vec![..]` instead of reusing \
+             the connection's buffer or `pool.acquire()` — every frame pays \
+             an allocator round-trip",
         ),
         (
             ".to_bytes(",
             "to_bytes",
-            "serializes through a pool-bypassing `.to_bytes(..)` helper; \
-             encode into a pooled buffer with `write_frame_pooled` / \
-             `encode_frame_into` instead",
+            "serializes through a `.to_bytes(..)` helper that allocates per \
+             frame; append to a reused buffer with `encode_frame_into` \
+             instead",
         ),
     ] {
         let mut i = 0;
@@ -2255,11 +2257,12 @@ pub const RULES: [RuleInfo; 17] = [
     },
     RuleInfo {
         id: "R16",
-        title: "(--alloc) frame encode/decode draws buffers from dema-wire::pool",
-        rationale: "an ad-hoc vec![..] payload buffer, a pool-bypassing .to_bytes(..) \
-                    helper, or a min-clamped capacity in the framing files allocates \
-                    (and likely reallocates) on every frame; acquire scratch from the \
-                    BufferPool so steady-state i/o recycles one buffer",
+        title: "(--alloc) frame encode/decode reuses its buffers",
+        rationale: "an ad-hoc vec![..] payload buffer, a .to_bytes(..) helper, or a \
+                    min-clamped capacity in the framing files allocates (and likely \
+                    reallocates) on every frame; append frames with encode_frame_into \
+                    to a buffer the connection keeps (or acquire scratch from the \
+                    BufferPool) so steady-state i/o recycles one buffer",
         allow: "// lint: allow(R16): <reason>",
     },
     RuleInfo {

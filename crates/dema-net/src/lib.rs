@@ -13,10 +13,13 @@
 //!   measure real wire bytes even when nothing crosses a socket. This is the default
 //!   substrate for the paper's cluster topology (see DESIGN.md §5 on the
 //!   hardware substitution).
-//! * [`tcp`] — real TCP over `std::net` with length-prefixed frames, for
-//!   multi-process runs. Byte accounting matches `mem` exactly.
+//! * [`tcp`] — real nonblocking TCP over `std::net` with length-prefixed
+//!   frames, for multi-process runs. Byte accounting matches `mem` exactly.
 //!
-//! Links are unidirectional; a topology wires two per node pair.
+//! Links are unidirectional; a topology wires two per node pair. Every
+//! receiver is polled, never waited on: [`MsgReceiver::try_recv`] is the
+//! one receive operation, and the [`reactor`] sweeps it on each link it
+//! hosts.
 //!
 //! The [`fault`] module wraps either transport's sender in a seeded
 //! chaos layer (drops, delay, duplication, reordering, scripted
@@ -33,7 +36,6 @@ pub use mem::link;
 use dema_metrics::NetworkCounters;
 use dema_wire::Message;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Errors surfaced by transports.
 #[derive(Debug)]
@@ -64,8 +66,8 @@ pub trait MsgSender: Send {
     fn send(&mut self, msg: &Message) -> Result<(), NetError>;
 
     /// Retry any bytes a nonblocking sender buffered on `WouldBlock`.
-    /// `Ok(true)` means nothing is pending (always, for blocking
-    /// transports — the default); `Ok(false)` means the peer's socket is
+    /// `Ok(true)` means nothing is pending (always, for transports that
+    /// never buffer — the default); `Ok(false)` means the peer's socket is
     /// still full and the caller should retry when it becomes writable
     /// (the reactor's `Writable` event).
     fn flush_pending(&mut self) -> Result<bool, NetError> {
@@ -75,18 +77,10 @@ pub trait MsgSender: Send {
 
 /// Receiving half of a link.
 pub trait MsgReceiver: Send {
-    /// Block until a message arrives (or the peer disconnects).
-    fn recv(&mut self) -> Result<Message, NetError>;
-
-    /// Wait up to `timeout`; `Ok(None)` on timeout.
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError>;
-
-    /// Non-blocking poll; `Ok(None)` when no message is ready. The default
-    /// falls back to a short timed wait for transports without a cheap
-    /// non-blocking path (TCP).
-    fn try_recv(&mut self) -> Result<Option<Message>, NetError> {
-        self.recv_timeout(Duration::from_micros(500))
-    }
+    /// Poll for one message without blocking. `Ok(None)` when none is
+    /// ready yet; [`NetError::Disconnected`] once the peer is gone and
+    /// every message it sent has been delivered.
+    fn try_recv(&mut self) -> Result<Option<Message>, NetError>;
 }
 
 /// Per-link byte/message/event accounting shared with the harness.

@@ -11,7 +11,7 @@
 //! `SharedRun` payloads — the events themselves are never copied between
 //! the local store and the root's merger.
 
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -121,31 +121,16 @@ impl MsgSender for MemSender {
     }
 }
 
-impl MemSender {
-    /// Cheap clone for fan-in topologies (many local nodes → one root).
-    /// Traffic from all clones lands in the same counters.
-    pub fn clone_sender(&self) -> MemSender {
-        MemSender {
-            tx: self.tx.clone(),
-            counters: SharedCounters::clone(&self.counters),
-            throttle: self.throttle.clone(),
-        }
+impl MemReceiver {
+    /// Block until a message arrives (or every sender is gone). For tests
+    /// and single-threaded drivers; reactor-hosted code polls
+    /// [`MsgReceiver::try_recv`] instead.
+    pub fn recv(&mut self) -> Result<Message, NetError> {
+        self.rx.recv().map_err(|_| NetError::Disconnected)
     }
 }
 
 impl MsgReceiver for MemReceiver {
-    fn recv(&mut self) -> Result<Message, NetError> {
-        self.rx.recv().map_err(|_| NetError::Disconnected)
-    }
-
-    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Message>, NetError> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(m) => Ok(Some(m)),
-            Err(RecvTimeoutError::Timeout) => Ok(None),
-            Err(RecvTimeoutError::Disconnected) => Err(NetError::Disconnected),
-        }
-    }
-
     fn try_recv(&mut self) -> Result<Option<Message>, NetError> {
         match self.rx.try_recv() {
             Ok(m) => Ok(Some(m)),
@@ -194,10 +179,15 @@ mod tests {
     }
 
     #[test]
-    fn recv_timeout_times_out() {
-        let (_tx, mut rx) = link(NetworkCounters::new_shared());
-        let got = rx.recv_timeout(Duration::from_millis(10)).unwrap();
-        assert!(got.is_none());
+    fn try_recv_on_an_idle_link_is_none() {
+        let (mut tx, mut rx) = link(NetworkCounters::new_shared());
+        assert!(rx.try_recv().unwrap().is_none());
+        tx.send(&Message::GammaUpdate { gamma: 1 }).unwrap();
+        assert_eq!(
+            rx.try_recv().unwrap(),
+            Some(Message::GammaUpdate { gamma: 1 })
+        );
+        assert!(rx.try_recv().unwrap().is_none());
     }
 
     #[test]
@@ -215,18 +205,6 @@ mod tests {
             tx.send(&Message::GammaUpdate { gamma: 1 }),
             Err(NetError::Disconnected)
         ));
-    }
-
-    #[test]
-    fn cloned_senders_share_counters_and_channel() {
-        let counters = NetworkCounters::new_shared();
-        let (mut tx, mut rx) = link(SharedCounters::clone(&counters));
-        let mut tx2 = tx.clone_sender();
-        tx.send(&Message::GammaUpdate { gamma: 1 }).unwrap();
-        tx2.send(&Message::GammaUpdate { gamma: 2 }).unwrap();
-        assert_eq!(counters.snapshot().messages, 2);
-        assert!(rx.recv().is_ok());
-        assert!(rx.recv().is_ok());
     }
 
     #[test]
@@ -283,14 +261,19 @@ mod tests {
 
     #[test]
     fn throttle_serializes_concurrent_senders() {
+        // Four links sharing one throttle, the way a node's data and
+        // responder uplinks share its simulated link.
         let throttle = Throttle::new_shared(8); // 1 MB/s shared
         let counters = NetworkCounters::new_shared();
-        let (tx, _rx) = throttled_link(SharedCounters::clone(&counters), throttle);
         let start = std::time::Instant::now();
         let handles: Vec<_> = (0..4)
             .map(|_| {
-                let mut tx = tx.clone_sender();
-                std::thread::spawn(move || tx.send(&msg(1000)).unwrap())
+                let (mut tx, rx) =
+                    throttled_link(SharedCounters::clone(&counters), Arc::clone(&throttle));
+                std::thread::spawn(move || {
+                    tx.send(&msg(1000)).unwrap();
+                    rx
+                })
             })
             .collect();
         for h in handles {

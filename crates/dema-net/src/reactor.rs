@@ -2,9 +2,10 @@
 //! machines (DESIGN.md §13).
 //!
 //! The vendored dependency set has no `epoll`/`kqueue` shim, so readiness
-//! is *level-triggered polling*: every registered [`Source`] (an
-//! in-process channel or a nonblocking TCP parser) exposes a cheap non-blocking poll, and the loop sweeps
-//! them round-robin, draining each before moving on. Between idle sweeps
+//! is *level-triggered polling*: every registered source is a
+//! [`MsgReceiver`] (an in-process channel or a nonblocking TCP parser)
+//! whose `try_recv` never blocks, and the loop sweeps them round-robin,
+//! draining each before moving on. Between idle sweeps
 //! the loop backs off (yield briefly, then sleep a few µs, bounded by the
 //! next timer deadline), so idle reactors cost near-nothing while busy ones run
 //! syscall-free on in-memory links.
@@ -29,57 +30,7 @@ use std::time::{Duration, Instant};
 use dema_metrics::ReactorStats;
 use dema_wire::Message;
 
-use crate::tcp::NbTcpReceiver;
 use crate::{MsgReceiver, NetError};
-
-/// What a [`Source`] poll produced.
-#[derive(Debug)]
-pub enum Polled {
-    /// One message, ready now.
-    Msg(Message),
-    /// Nothing available; poll again later.
-    Empty,
-    /// The peer is gone; the source will never produce again.
-    Closed,
-}
-
-/// A non-blocking message producer the reactor can sweep.
-pub trait Source {
-    /// Poll once without blocking.
-    ///
-    /// # Errors
-    /// Transport failures other than orderly shutdown (which is
-    /// [`Polled::Closed`]).
-    fn poll(&mut self) -> Result<Polled, NetError>;
-}
-
-/// Adapter: any [`MsgReceiver`] whose `try_recv` is genuinely
-/// non-blocking (the mem and throttled links) is a reactor source.
-/// Blocking-backed receivers (TCP) should convert to [`NbTcpReceiver`]
-/// instead — their `try_recv` burns a timed wait per poll.
-pub struct RecvSource(pub Box<dyn MsgReceiver>);
-
-impl Source for RecvSource {
-    fn poll(&mut self) -> Result<Polled, NetError> {
-        match self.0.try_recv() {
-            Ok(Some(msg)) => Ok(Polled::Msg(msg)),
-            Ok(None) => Ok(Polled::Empty),
-            Err(NetError::Disconnected) => Ok(Polled::Closed),
-            Err(e) => Err(e),
-        }
-    }
-}
-
-impl Source for NbTcpReceiver {
-    fn poll(&mut self) -> Result<Polled, NetError> {
-        match self.poll_msg() {
-            Ok(Some(msg)) => Ok(Polled::Msg(msg)),
-            Ok(None) => Ok(Polled::Empty),
-            Err(NetError::Disconnected) => Ok(Polled::Closed),
-            Err(e) => Err(e),
-        }
-    }
-}
 
 /// An event delivered to a registered handler.
 #[derive(Debug)]
@@ -173,7 +124,7 @@ pub trait Handler<E> {
 struct SourceEntry {
     handler: usize,
     link: usize,
-    src: Box<dyn Source>,
+    src: Box<dyn MsgReceiver>,
     open: bool,
 }
 
@@ -212,7 +163,7 @@ impl Reactor {
 
     /// Register `src` as handler `handler`'s link `link`. Sources are
     /// swept in registration order.
-    pub fn register(&mut self, handler: usize, link: usize, src: Box<dyn Source>) {
+    pub fn register(&mut self, handler: usize, link: usize, src: Box<dyn MsgReceiver>) {
         self.sources.push(SourceEntry {
             handler,
             link,
@@ -307,14 +258,14 @@ impl Reactor {
             for i in 0..self.sources.len() {
                 while self.sources[i].open {
                     let (handler, link) = (self.sources[i].handler, self.sources[i].link);
-                    match self.sources[i].src.poll() {
-                        Ok(Polled::Msg(msg)) => {
+                    match self.sources[i].src.try_recv() {
+                        Ok(Some(msg)) => {
                             events += 1;
                             handlers[handler]
                                 .on_event(ReactorEvent::Readable { link, msg }, &mut ops)?;
                         }
-                        Ok(Polled::Empty) => break,
-                        Ok(Polled::Closed) => {
+                        Ok(None) => break,
+                        Err(NetError::Disconnected) => {
                             self.sources[i].open = false;
                             events += 1;
                             handlers[handler].on_event(ReactorEvent::Closed { link }, &mut ops)?;
@@ -439,7 +390,7 @@ mod tests {
         tx.send(&Message::GammaUpdate { gamma: 2 }).unwrap();
         drop(tx);
         let mut reactor = Reactor::new(ReactorStats::new_shared());
-        reactor.register(0, 7, Box::new(RecvSource(Box::new(rx))));
+        reactor.register(0, 7, Box::new(rx));
         let mut probe = Probe {
             seen: Vec::new(),
             quota: 4,

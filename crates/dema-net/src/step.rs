@@ -56,17 +56,6 @@ impl MsgSender for StepSender {
     }
 }
 
-impl StepSender {
-    /// Cheap clone for fan-in wiring; all clones feed the same queue and
-    /// the same counters.
-    pub fn clone_sender(&self) -> StepSender {
-        StepSender {
-            queue: Arc::clone(&self.queue),
-            counters: SharedCounters::clone(&self.counters),
-        }
-    }
-}
-
 impl StepQueue {
     /// Deliver (remove and return) the oldest in-flight message.
     pub fn pop(&self) -> Option<Message> {
@@ -125,14 +114,6 @@ mod tests {
         let s = counters.snapshot();
         assert_eq!(s.bytes, m.encoded_len() as u64 + 4);
         assert_eq!(s.messages, 1);
-    }
-
-    #[test]
-    fn cloned_senders_share_queue() {
-        let (tx, q) = step_link(NetworkCounters::new_shared());
-        let mut tx2 = tx.clone_sender();
-        tx2.send(&Message::GammaUpdate { gamma: 9 }).unwrap();
-        assert_eq!(q.pop(), Some(Message::GammaUpdate { gamma: 9 }));
     }
 
     #[test]

@@ -17,17 +17,18 @@
 //!   requests/replies, raw event batches (centralized & decentralized-sort
 //!   baselines), t-digest batches (Tdigest baseline), γ updates, window
 //!   results, and stream-end markers.
-//! * [`frame`] — `u32` length-prefixed framing over any `Read`/`Write`
-//!   (used by the TCP transport in `dema-net`). Frames are assembled in
-//!   buffers recycled through [`pool::BufferPool`], so steady-state sends
-//!   don't touch the allocator, and each frame reaches the writer as one
-//!   contiguous `write_all`.
-//! * [`pool`] — the capped free-list of frame buffers.
+//! * [`frame`] — `u32` length-prefixed framing: [`encode_frame_into`]
+//!   appends a frame to a caller-owned buffer and [`decode_frame`] parses
+//!   one off the front of a byte buffer, reporting an incomplete frame as
+//!   `Ok(None)`. The TCP transport in `dema-net` keeps one outbound and
+//!   one inbound buffer per connection and runs every frame through these
+//!   two functions.
+//! * [`pool`] — a capped free-list of byte buffers.
 
 pub mod frame;
 pub mod message;
 pub mod pool;
 
-pub use frame::{read_frame, write_frame};
+pub use frame::{decode_frame, encode_frame_into};
 pub use message::{tag_by_name, tag_info, Message, TagInfo, WireError, TAGS};
 pub use pool::BufferPool;

@@ -146,16 +146,15 @@ proptest! {
     fn framing_roundtrip(msgs in vec(arb_message(), 0..10)) {
         let mut buf = Vec::new();
         for m in &msgs {
-            dema_wire::write_frame(&mut buf, m).unwrap();
+            dema_wire::encode_frame_into(m, &mut buf);
         }
-        let mut cursor = &buf[..];
+        let mut at = 0;
         for expected in &msgs {
-            let (got, _) = dema_wire::read_frame(&mut cursor).unwrap();
+            let (got, read) = dema_wire::decode_frame(&buf[at..]).unwrap().unwrap();
             prop_assert_eq!(&got, expected);
+            at += read;
         }
-        prop_assert!(matches!(
-            dema_wire::read_frame(&mut cursor),
-            Err(dema_wire::frame::FrameError::Eof)
-        ));
+        prop_assert_eq!(at, buf.len());
+        prop_assert!(dema_wire::decode_frame(&buf[at..]).unwrap().is_none());
     }
 }

@@ -54,7 +54,8 @@ fn setup_identification(
         synopses: slices.iter().map(|s| s.synopsis(4).unwrap()).collect(),
     })
     .unwrap();
-    let Message::CandidateRequest { slices: wanted, .. } = rx.recv().unwrap() else {
+    // The root sends the request before `handle` returns.
+    let Some(Message::CandidateRequest { slices: wanted, .. }) = rx.try_recv().unwrap() else {
         panic!("expected candidate request");
     };
     (slices, wanted)
